@@ -154,8 +154,6 @@ std::string BenchReport::to_json() const {
     out += ",\n      \"threads\": " + std::to_string(r.threads);
     out += ",\n      \"ops\": " + fmt_u64(r.ops);
     out += ",\n      \"ops_per_sec\": " + fmt_double(r.ops_per_sec);
-    out += ",\n      \"repeats\": " + std::to_string(r.repeats);
-    out += ",\n      \"cv\": " + fmt_double(r.cv);
     out += ",\n      \"unit\": ";
     append_escaped(out, r.unit);
     out += ",\n      \"latency\": ";
@@ -485,12 +483,6 @@ BenchReport BenchReport::from_json(const std::string& json) {
     run.threads = static_cast<int>(get_u64(r, "threads"));
     run.ops = get_u64(r, "ops");
     run.ops_per_sec = get_double(r, "ops_per_sec");
-    // Median-of-N metadata postdates the schema's first reports; absent
-    // fields parse as a single-repeat measurement.
-    run.repeats = r.find("repeats") != nullptr
-                      ? static_cast<int>(get_u64(r, "repeats"))
-                      : 1;
-    run.cv = r.find("cv") != nullptr ? get_double(r, "cv") : 0;
     run.unit = get_string(r, "unit");
     run.latency = parse_latency(r);
     // Optional per-site event counts; absent (pre-events reports, bus-off

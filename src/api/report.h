@@ -21,7 +21,7 @@
 ///     {
 ///       "name": "run", "spec": "striped:stripes=16",
 ///       "backend": "hardware", "threads": 8, "ops": 2048,
-///       "ops_per_sec": 1.2e6, "repeats": 1, "cv": 0, "unit": "ns",
+///       "ops_per_sec": 1.2e6, "unit": "ns",
 ///       "latency": {
 ///         "count": 2048, "sum": ..., "sum_sq": ..., "min": ..., "max": ...,
 ///         "mean": ..., "p50": ..., "p90": ..., "p99": ..., "p999": ...,
@@ -34,15 +34,11 @@
 /// \endverbatim
 /// `unit` says what the latency values measure: "ns" (hardware wall clock)
 /// or "steps" (paper cost model, simulated backend). `mean`/`p*` are derived
-/// from `count`..`buckets` and ignored on parse. `repeats`/`cv` describe
-/// median-of-N measurement: when repeats > 1 the run's numbers are the
-/// median repeat's, `cv` the across-repeat throughput coefficient of
-/// variation. Both are optional on parse (defaults 1 / 0) so pre-repeat
-/// reports stay readable. `events` is the run's obs::EventBus delta, keyed
-/// by obs::site_name and carrying only nonzero counts; it is emitted only
-/// when nonempty and optional on parse (default empty), so pre-events
-/// reports — and runs recorded with the bus off — are byte-identical to the
-/// old format.
+/// from `count`..`buckets` and ignored on parse, as are keys outside the
+/// schema. `events` is the run's obs::EventBus delta, keyed by obs::site_name
+/// and carrying only nonzero counts; it is emitted only when nonempty and
+/// optional on parse (default empty), so runs recorded with the bus off
+/// carry no `events` key at all.
 #pragma once
 
 #include <cstdint>
@@ -67,14 +63,6 @@ struct ReportRun {
   int threads = 0;      ///< process/thread count of the scenario
   std::uint64_t ops = 0;       ///< completed operations
   double ops_per_sec = 0;      ///< wall-clock throughput (0 when unmeasured)
-  /// How many repeats produced this run. When > 1, `ops_per_sec` and
-  /// `latency` come from the repeat with the *median* throughput — the run
-  /// is one real measurement, not a synthetic average.
-  int repeats = 1;
-  /// Coefficient of variation (stddev/mean) of ops_per_sec across the
-  /// repeats; 0 when repeats == 1 or throughput was unmeasured. Readers use
-  /// it to judge how much of a diff is noise.
-  double cv = 0;
   std::string unit = "ns";     ///< latency unit: "ns" or "steps"
   stats::LatencySnapshot latency;  ///< tail-faithful latency recording
   /// The run's per-site event counts (obs::EventBus delta), as (site_name,

@@ -15,18 +15,14 @@ BoundedFetchAndIncrement::BoundedFetchAndIncrement(
 std::uint64_t BoundedFetchAndIncrement::fetch_and_increment(Ctx& ctx) {
   LabelScope label{ctx, "bounded_fai/op"};
   Node* node = nodes_.root();
-  std::uint64_t l = m_;
   std::uint64_t acc = 0;
-  while (l > 1) {
-    if (node->test.test_and_set(ctx)) {
-      node = nodes_.child(node, 0, l / 2, options_);
-    } else {
-      acc += l / 2;
-      node = nodes_.child(node, 1, l / 2, options_);
-    }
-    l /= 2;
+  for (std::uint64_t l = m_; l > 1; l /= 2) {
+    const int dir = node->test.test_and_set(ctx) ? 0 : 1;
+    if (dir == 1) acc += l / 2;
+    // A 1-valued child always returns 0, so it is never built.
+    if (l / 2 > 1) node = nodes_.child(node, dir, l / 2, options_);
   }
-  return acc;  // the 1-valued leaf always contributes 0
+  return acc;
 }
 
 }  // namespace renamelib::counting

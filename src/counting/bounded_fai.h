@@ -2,13 +2,14 @@
 //
 // Recursive tree: an l-valued object is an l/2-test-and-set plus two
 // l/2-valued children. Winners of the test go left (values 0..l/2-1);
-// losers go right and add l/2. Leaves are 0-valued objects that always
-// return 0. Once m operations have completed the object keeps returning
-// m-1 (the paper's saturating sequential specification).
+// losers go right and add l/2. The 1-valued leaves always return 0, so they
+// are implicit: only the m-1 internal nodes exist. Once m operations have
+// completed the object keeps returning m-1 (the paper's saturating
+// sequential specification).
 //
-// Theorem 6: linearizable, O(log k log m) steps in expectation. Nodes (each
-// containing a full adaptive renaming object) are materialized on first
-// touch, so memory is proportional to the values actually handed out.
+// Theorem 6: linearizable, O(log k log m) steps in expectation. Internal
+// nodes (each containing a full adaptive renaming object) are materialized
+// on first touch, so memory is proportional to the values handed out.
 #pragma once
 
 #include <atomic>

@@ -10,14 +10,15 @@ bool TwoProcessTas::compete(Ctx& ctx, int side) {
   Register<std::uint32_t>& mine = pos_[side];
   Register<std::uint32_t>& theirs = pos_[1 - side];
 
-  std::uint32_t pos = 0;
+  std::uint32_t pos = 1;  // the initial 0 was this side's position-0 round
+  mine.store(ctx, pos);
   for (;;) {
-    mine.store(ctx, pos);
     const std::uint32_t other = theirs.load(ctx);
-    if (other >= pos + 1) return false;       // strictly behind: lose
-    if (pos >= 2 && other <= pos - 2) return true;  // two ahead: win
-    // Within one of each other: advance by a fair coin and race again.
-    if (ctx.rng().coin()) ++pos;
+    if (other > pos) return false;     // strictly behind: lose
+    if (pos - other >= 2) return true;  // two ahead: win
+    // One ahead: advance. Tied: advance on heads, else look again.
+    if (other == pos && !ctx.rng().coin()) continue;
+    mine.store(ctx, ++pos);
   }
 }
 

@@ -361,6 +361,17 @@ TEST(BoundedFai, SequentialHandsOutConsecutiveValues) {
   EXPECT_EQ(fai.fetch_and_increment(ctx), 15u);
 }
 
+TEST(BoundedFai, MaterializesOnlyInternalNodes) {
+  // m sequential ops visit every internal node of the tree; the 1-valued
+  // leaves always return 0 and are never built.
+  for (const std::uint64_t m : {2u, 16u, 64u}) {
+    BoundedFetchAndIncrement fai(m);
+    Ctx ctx(0, 1);
+    for (std::uint64_t i = 0; i < m; ++i) fai.fetch_and_increment(ctx);
+    EXPECT_EQ(fai.materialized_nodes(), m - 1) << "m=" << m;
+  }
+}
+
 class BoundedFaiSweep
     : public ::testing::TestWithParam<std::tuple<int, int, std::uint64_t>> {};
 

@@ -128,7 +128,7 @@ TEST_P(TwoProcessTasExhaustive, AtMostOneWinnerOverAllSchedules) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, TwoProcessTasExhaustive,
-                         ::testing::Range<std::uint64_t>(1, 5));
+                         ::testing::Range<std::uint64_t>(1, 17));
 
 TEST(SplitterExhaustive, AtMostOneStopOverAllSchedules) {
   for (std::uint64_t seed = 1; seed <= 4; ++seed) {

@@ -29,10 +29,8 @@ Modes:
 Schema checks (renamelib.bench_report.v1):
   * top-level: schema/bench/git_describe strings, runs list,
   * per run: name/spec/backend/unit strings, threads/ops integers,
-    ops_per_sec number, latency object; optional repeats (positive integer;
-    when > 1, ops_per_sec/latency are the median repeat's) and cv
-    (non-negative number, coefficient of variation of ops_per_sec across
-    the repeats),
+    ops_per_sec number, latency object (keys outside the schema are
+    ignored),
   * per latency: count/min/max/p50/p90/p99/p999 integers, sum/sum_sq/mean
     numbers, buckets a list of [lower, upper, count] with counts summing to
     `count` and percentiles falling inside [min, max],
@@ -85,14 +83,6 @@ def validate_report(doc, where="report"):
                      f"'{key}' must be a non-negative integer")
         _require(_is_number(run.get("ops_per_sec")), rwhere,
                  "'ops_per_sec' must be a number")
-        # Optional repeat metadata (absent in older reports; the C++ parser
-        # defaults them to 1 / 0 the same way).
-        if "repeats" in run:
-            _require(_is_uint(run["repeats"]) and run["repeats"] >= 1, rwhere,
-                     "'repeats' must be a positive integer")
-        if "cv" in run:
-            _require(_is_number(run["cv"]) and run["cv"] >= 0, rwhere,
-                     "'cv' must be a non-negative number")
         lat = run.get("latency")
         _require(isinstance(lat, dict), rwhere, "'latency' must be an object")
         for key in ("count", "min", "max", "p50", "p90", "p99", "p999"):
@@ -261,11 +251,6 @@ def compare(baseline, current, max_tp_regress, max_p99_regress,
         if b["ops_per_sec"] > 0 and c["ops_per_sec"] > 0:
             delta = c["ops_per_sec"] / b["ops_per_sec"] - 1
             verdicts.append(f"ops/sec {delta:+.1%}")
-            # Median-of-N runs carry their own noise estimate; surface it so
-            # a delta inside the measurement spread reads as such.
-            if c.get("repeats", 1) > 1:
-                verdicts.append(
-                    f"median of {c['repeats']}, cv {c.get('cv', 0):.1%}")
             if delta < -max_tp_regress:
                 regressions.append(
                     f"{fmt_key(key)}: throughput {b['ops_per_sec']:.0f} -> "
@@ -396,16 +381,6 @@ def self_check():
     regs, compared, unmatched = diff(base, cur)
     assert not regs and compared == 0 and len(unmatched) == 1
 
-    # Repeat metadata: optional, validated when present, surfaced in rows.
-    doc = _synthetic()
-    doc["runs"][0].update(repeats=5, cv=0.032)
-    validate_report(doc, where="repeats")
-    out = io.StringIO()
-    regs, compared, _ = compare(doc, doc, 0.25, 0.25, out=out)
-    assert not regs and compared == 1
-    assert "median of 5" in out.getvalue() and "cv 3.2%" in out.getvalue(), \
-        out.getvalue()
-
     # Events: optional, validated when present, diffed as per-op rates.
     doc = _synthetic()
     doc["runs"][0]["events"] = {"cas_fail": 50, "elim_pair": 10}
@@ -444,10 +419,6 @@ def self_check():
         # Booleans must not satisfy integer fields (C++ parser parity).
         lambda d: d["runs"][0].__setitem__("threads", True),
         lambda d: d["runs"][0]["latency"].__setitem__("count", True),
-        # Repeat metadata, when present, must be well-formed.
-        lambda d: d["runs"][0].__setitem__("repeats", 0),
-        lambda d: d["runs"][0].__setitem__("repeats", True),
-        lambda d: d["runs"][0].__setitem__("cv", -0.1),
         # Events, when present, must be a site->count object.
         lambda d: d["runs"][0].__setitem__("events", [1, 2]),
         lambda d: d["runs"][0].__setitem__("events", {"cas_fail": -1}),

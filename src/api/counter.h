@@ -3,11 +3,11 @@
 ///
 /// Every counting-flavored shared object in renamelib — the paper's bounded
 /// and unbounded fetch-and-increment (Sec. 8.2), renaming-backed value
-/// dispensers, counting networks [26], the sharded striped/diffracting-tree
-/// counters, and the hardware baselines — is usable through ICounter: next()
-/// hands the calling operation its value. A single interface means one
-/// conformance suite, one bench harness, and N+M instead of N*M wiring
-/// between objects and scenarios.
+/// dispensers, counting networks [26], the sharded striped counter, and the
+/// hardware baselines — is usable through ICounter: next() hands the calling
+/// operation its value. A single interface means one conformance suite, one
+/// bench harness, and N+M instead of N*M wiring between objects and
+/// scenarios.
 #pragma once
 
 #include <cstdint>
@@ -41,22 +41,11 @@ enum class Consistency {
 const char* consistency_name(Consistency c);
 
 /// An arithmetic run of counter values: base, base+stride, ...,
-/// base+(count-1)*stride. The unit of batched minting: one striped take of k
-/// tickets lands on a stride-S run per touched stripe, one atomic fetch&add
-/// of k is a single stride-1 run.
+/// base+(count-1)*stride. The unit of ICounter::next_range.
 struct ValueRange {
   std::uint64_t base = 0;
   std::uint64_t stride = 1;
   std::uint64_t count = 0;
-
-  /// The i-th value of the run (i < count).
-  std::uint64_t at(std::uint64_t i) const { return base + i * stride; }
-  /// Total values carried by `ranges`.
-  static std::uint64_t total(const std::vector<ValueRange>& ranges) {
-    std::uint64_t sum = 0;
-    for (const auto& r : ranges) sum += r.count;
-    return sum;
-  }
 };
 
 /// Abstract counter: one next() operation, one declared consistency level,
@@ -77,10 +66,8 @@ class ICounter {
   /// Batched mint: appends `k` of this counter's values to `out` as
   /// arithmetic runs (ValueRange). Values obey exactly the same uniqueness /
   /// density contract as k separate next() calls — the default is literally
-  /// that loop. Implementations whose geometry admits a cheaper ranged mint
-  /// (one fetch&add of k, a striped multi-ticket take, a lease window chunk)
-  /// override it; that amortized path is what the Workload's Scenario::batch
-  /// knob drives.
+  /// that loop. A counter whose geometry admits a cheaper ranged mint may
+  /// override it, and a wrapping counter may forward it to its inner.
   virtual void next_range(Ctx& ctx, std::uint64_t k,
                           std::vector<ValueRange>& out) {
     for (std::uint64_t i = 0; i < k; ++i) {

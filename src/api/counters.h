@@ -62,13 +62,6 @@ class AtomicFaiCounter final : public ICounter {
   std::uint64_t next(Ctx& ctx) override {
     return counter_.fetch_and_increment(ctx);
   }
-  /// Ranged mint: one fetch&add of k yields the run {base, 1, k} — the
-  /// cheapest possible batch, one crossing for any k.
-  void next_range(Ctx& ctx, std::uint64_t k,
-                  std::vector<ValueRange>& out) override {
-    if (k == 0) return;
-    out.push_back(ValueRange{counter_.fetch_and_add(ctx, k), 1, k});
-  }
   Consistency consistency() const override { return Consistency::kLinearizable; }
 
  private:

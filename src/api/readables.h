@@ -81,8 +81,7 @@ class MaxRegTreeCounterAdapter final : public IReadableCounter {
 /// an instance with dispenser-mode next() use (see sharded/striped_counter.h).
 class StripedStatisticAdapter final : public IReadableCounter {
  public:
-  /// Builds the underlying StripedCounter with `options` (elimination only
-  /// affects dispenser mode and is left off).
+  /// Builds the underlying StripedCounter with `options`.
   explicit StripedStatisticAdapter(sharded::StripedCounter::Options options)
       : counter_(options) {}
 

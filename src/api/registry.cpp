@@ -11,7 +11,6 @@
 #include "api/readables.h"
 #include "api/renamings.h"
 #include "api/sharded_counters.h"
-#include "countnet/periodic.h"
 #include "renaming/bit_batching.h"
 #include "renaming/linear_probe.h"
 #include "renaming/moir_anderson.h"
@@ -84,15 +83,6 @@ OptionSchema OptionSchema::pow2_u64(std::string key, std::uint64_t def,
   return o;
 }
 
-OptionSchema OptionSchema::boolean(std::string key, bool def, std::string doc) {
-  OptionSchema o;
-  o.key = std::move(key);
-  o.type = Type::kBool;
-  o.doc = std::move(doc);
-  o.def = def ? "1" : "0";
-  return o;
-}
-
 OptionSchema OptionSchema::choice(std::string key, std::string def,
                                   std::vector<std::string> choices,
                                   std::string doc) {
@@ -123,8 +113,6 @@ std::string OptionSchema::type_text() const {
           " in [" + std::to_string(min) + ", " + std::to_string(max) + "]";
       return (pow2 ? "power of two" : "int") + range;
     }
-    case Type::kBool:
-      return "bool";
     case Type::kEnum: {
       std::string out = "enum {";
       for (std::size_t i = 0; i < choices.size(); ++i) {
@@ -259,13 +247,6 @@ void check_value(const OptionSchema& schema, const SpecValue& value,
       }
       break;
     }
-    case OptionSchema::Type::kBool: {
-      const std::string& s = value.scalar();
-      if (s != "0" && s != "1") {
-        throw std::invalid_argument(where + " must be 0 or 1, got '" + s + "'");
-      }
-      break;
-    }
     case OptionSchema::Type::kEnum: {
       const std::string& s = value.scalar();
       if (std::find(schema.choices.begin(), schema.choices.end(), s) ==
@@ -309,11 +290,6 @@ void check_schema(const std::string& name,
         }
         break;
       }
-      case OptionSchema::Type::kBool:
-        if (o.def != "0" && o.def != "1") {
-          throw std::invalid_argument(where + " must be 0 or 1");
-        }
-        break;
       case OptionSchema::Type::kEnum:
         if (o.choices.empty() ||
             std::find(o.choices.begin(), o.choices.end(), o.def) ==
@@ -575,60 +551,14 @@ void register_builtins(Registry& r) {
       .name = "striped",
       .family = Family::kSharded,
       .summary = "cache-line-striped dispenser: spray-routed per-stripe "
-                 "fetch&add slots, optional elimination pair-combining",
+                 "fetch&add slots",
       .consistency = Consistency::kQuiescent,
-      .options =
-          {OptionSchema::u64("stripes", 64, 1, 4096,
-                             "cache-line-padded fetch&add stripes"),
-           OptionSchema::boolean("elim", false,
-                                 "pair-combining elimination on contention"),
-           OptionSchema::u64("elim_width", 4, 1, 1024,
-                             "elimination array slots"),
-           OptionSchema::u64("elim_spins", 4, 1, 1024,
-                             "spins per elimination attempt"),
-           OptionSchema::u64("elim_handoff", 64, 1, 65536,
-                             "claimed-waiter delivery spins before the "
-                             "crash-tolerant reclaim")},
+      .options = {OptionSchema::u64("stripes", 64, 1, 4096,
+                                    "cache-line-padded fetch&add stripes")},
       .make = [](const Spec& p) -> std::unique_ptr<ICounter> {
         sharded::StripedCounter::Options o;
         o.stripes = p.get_u64("stripes", 64);
-        o.elimination = p.get_bool("elim", false);
-        o.elim_width = p.get_u64("elim_width", 4);
-        o.elim_spins = static_cast<int>(p.get_u64("elim_spins", 4));
-        o.elim_handoff_spins =
-            static_cast<int>(p.get_u64("elim_handoff", 64));
         return std::make_unique<StripedCounterAdapter>(o);
-      }});
-  r.add_counter(CounterInfo{
-      .name = "difftree",
-      .family = Family::kSharded,
-      .summary = "diffracting-tree counter: prism/toggle balancer tree over "
-                 "composable leaf sub-counters (leaf= is a nested spec)",
-      .consistency = Consistency::kQuiescent,
-      .options =
-          {OptionSchema::u64("depth", 3, 1, 10, "balancer tree depth"),
-           OptionSchema::spec("leaf", "atomic_fai", Facet::kCounter,
-                              "sub-counter spec behind each of the 2^depth "
-                              "output wires"),
-           OptionSchema::boolean("prism", true,
-                                 "diffracting prism arrays in front of each "
-                                 "toggle"),
-           OptionSchema::u64("prism_width", 4, 1, 1024,
-                             "prism array slots per balancer"),
-           OptionSchema::u64("prism_spins", 4, 1, 1024,
-                             "spins per prism pairing attempt")},
-      .make = [](const Spec& p) -> std::unique_ptr<ICounter> {
-        sharded::DiffractingTreeCounter::Options o;
-        o.depth = static_cast<int>(p.get_u64("depth", 3));
-        o.prism = p.get_bool("prism", true);
-        o.prism_width = p.get_u64("prism_width", 4);
-        o.prism_spins = static_cast<int>(p.get_u64("prism_spins", 4));
-        // The leaf value is itself a spec, already schema-validated against
-        // the counter facet; the factory resolves it through the registry,
-        // so composed leaves never re-tokenize anything.
-        const Spec leaf = p.get_spec("leaf", "atomic_fai");
-        return std::make_unique<DiffractingTreeCounterAdapter>(
-            o, [leaf]() { return Registry::global().make_counter(leaf); });
       }});
   r.add_counter(CounterInfo{
       .name = "bitonic_countnet",
@@ -640,17 +570,6 @@ void register_builtins(Registry& r) {
       .make = [](const Spec& p) -> std::unique_ptr<ICounter> {
         return std::make_unique<CountingNetworkCounter>(
             countnet::CountingNetwork::bitonic(p.get_u64("w", 16)));
-      }});
-  r.add_counter(CounterInfo{
-      .name = "periodic_countnet",
-      .family = Family::kCountingNetwork,
-      .summary = "periodic counting network [26]: log w identical blocks, "
-                 "same guarantees as bitonic",
-      .consistency = Consistency::kQuiescent,
-      .options = {OptionSchema::pow2_u64("w", 16, 2, 256, "network width")},
-      .make = [](const Spec& p) -> std::unique_ptr<ICounter> {
-        return std::make_unique<CountingNetworkCounter>(
-            countnet::periodic_counting_network(p.get_u64("w", 16)));
       }});
   {
     auto options = lease_schemas();
@@ -726,17 +645,6 @@ void register_builtins(Registry& r) {
       .make = [](const Spec& p) -> std::unique_ptr<IReadableCounter> {
         return std::make_unique<CountnetReadableAdapter>(
             countnet::CountingNetwork::bitonic(p.get_u64("w", 16)));
-      }});
-  r.add_readable(ReadableInfo{
-      .name = "periodic_countnet",
-      .family = Family::kCountingNetwork,
-      .summary = "periodic counting network's quiescent read side [26]: same "
-                 "read/increment contract as bitonic_countnet",
-      .consistency = Consistency::kQuiescent,
-      .options = {OptionSchema::pow2_u64("w", 16, 2, 256, "network width")},
-      .make = [](const Spec& p) -> std::unique_ptr<IReadableCounter> {
-        return std::make_unique<CountnetReadableAdapter>(
-            countnet::periodic_counting_network(p.get_u64("w", 16)));
       }});
 }
 

@@ -19,14 +19,14 @@
 /// existing ones.
 ///
 /// Spec v2 (api/spec.h, full reference: docs/SPEC_GRAMMAR.md): every entry
-/// declares a typed OptionSchema per option — kind (int/bool/enum/spec),
+/// declares a typed OptionSchema per option — kind (int/enum/spec),
 /// range or choices, default, one-line doc. The registry validates a parsed
 /// Spec against the schema *before* the factory runs, so unknown-name,
 /// unknown-key, out-of-range, and wrong-type errors are uniform across all
 /// facets: unknown names and keys carry did-you-mean suggestions (edit
 /// distance <= 2) plus the valid alternatives, wrong-facet errors name the
 /// facet that does know the spec, and nested spec options (e.g.
-/// `difftree:leaf=[striped:stripes=8]`) are validated recursively against
+/// `lease:inner=[striped:stripes=8]`) are validated recursively against
 /// their target facet. `describe()` exposes the whole catalog — every
 /// entry, every option schema — programmatically; the `renamectl` CLI and
 /// docs/SPEC_GRAMMAR.md's key tables are rendered from it.
@@ -52,7 +52,7 @@ enum class Family {
   kRenaming,         ///< renaming protocols (one-shot and long-lived)
   kFaiCounting,      ///< renaming-derived fetch-and-increment counters
   kCountingNetwork,  ///< balancer networks used as counters
-  kSharded,          ///< striped / diffracting-tree sharded counters
+  kSharded,          ///< cache-line-striped sharded counters
   kBaseline,         ///< hardware reference points
   kEscrow,           ///< escrow range-leasing wrappers over inner dispensers
 };
@@ -81,7 +81,6 @@ struct OptionSchema {
   /// Option value kind.
   enum class Type {
     kInt,   ///< unsigned integer, checked against [min, max] (and pow2)
-    kBool,  ///< "0" or "1"
     kEnum,  ///< one of `choices`
     kSpec,  ///< nested spec, validated against `spec_facet`'s table
   };
@@ -103,8 +102,6 @@ struct OptionSchema {
   static OptionSchema pow2_u64(std::string key, std::uint64_t def,
                                std::uint64_t lo, std::uint64_t hi,
                                std::string doc);
-  /// A boolean (0/1) option.
-  static OptionSchema boolean(std::string key, bool def, std::string doc);
   /// An enumerated option; `def` must be one of `choices`.
   static OptionSchema choice(std::string key, std::string def,
                              std::vector<std::string> choices, std::string doc);
@@ -113,7 +110,7 @@ struct OptionSchema {
                            std::string doc);
 
   /// Human-readable type+constraint text for catalogs: "int in [1, 4096]",
-  /// "power of two in [2, 1024]", "enum {rnd, hw}", "spec<counter>", "bool".
+  /// "power of two in [2, 1024]", "enum {rnd, hw}", "spec<counter>".
   std::string type_text() const;
 };
 

@@ -27,7 +27,7 @@
 ///         "mean": ..., "p50": ..., "p90": ..., "p99": ..., "p999": ...,
 ///         "buckets": [[lower, upper, count], ...]
 ///       },
-///       "events": { "cas_fail": 17, "elim_pair": 5 }
+///       "events": { "cas_fail": 17, "lease_seize": 5 }
 ///     }
 ///   ]
 /// }

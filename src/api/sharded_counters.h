@@ -1,24 +1,20 @@
-// ICounter adapters over the sharded family (src/sharded).
+// ICounter adapter over the sharded family (src/sharded).
 //
 // Same shape as api/counters.h: forward next(), declare the consistency
-// level, expose the native object via impl(). Both sharded counters hand out
+// level, expose the native object via impl(). The striped dispenser hands out
 // a dense value prefix only at quiescence — a delayed operation can publish a
-// small value after later operations completed — so both declare
-// Consistency::kQuiescent even when a diffracting tree's leaves are
-// individually linearizable.
+// small value after later operations completed — so it declares
+// Consistency::kQuiescent.
 #pragma once
 
 #include <cstdint>
-#include <utility>
 
 #include "api/counter.h"
-#include "sharded/diffracting_tree.h"
 #include "sharded/striped_counter.h"
 
 namespace renamelib::api {
 
-/// Cache-line-striped dispenser: spray-routed per-stripe fetch&add slots,
-/// optionally pair-combining colliding operations through elimination.
+/// Cache-line-striped dispenser: spray-routed per-stripe fetch&add slots.
 class StripedCounterAdapter final : public ICounter {
  public:
   /// Builds the underlying StripedCounter with `options`.
@@ -28,17 +24,6 @@ class StripedCounterAdapter final : public ICounter {
   /// Forwards to StripedCounter::next() (dispenser mode).
   std::uint64_t next(Ctx& ctx) override { return counter_.next(ctx); }
 
-  /// Ranged mint via StripedCounter::next_batch: min(k, stripes) + 1
-  /// crossings for k values, dense prefix preserved.
-  void next_range(Ctx& ctx, std::uint64_t k,
-                  std::vector<ValueRange>& out) override {
-    std::vector<sharded::StripedCounter::Run> batch;
-    counter_.next_batch(ctx, k, batch);
-    for (const auto& run : batch) {
-      out.push_back(ValueRange{run.base, run.stride, run.count});
-    }
-  }
-
   /// Dense prefix at quiescence only; see the class comment.
   Consistency consistency() const override { return Consistency::kQuiescent; }
 
@@ -47,32 +32,6 @@ class StripedCounterAdapter final : public ICounter {
 
  private:
   sharded::StripedCounter counter_;
-};
-
-/// Diffracting-tree counter: prism/toggle balancer tree over composable
-/// leaf sub-counters (any registry counter spec).
-class DiffractingTreeCounterAdapter final : public ICounter {
- public:
-  /// Builds a tree with `options`, constructing each leaf via `make_leaf`.
-  DiffractingTreeCounterAdapter(
-      sharded::DiffractingTreeCounter::Options options,
-      const sharded::DiffractingTreeCounter::LeafFactory& make_leaf)
-      : counter_(options, make_leaf) {}
-
-  /// Forwards to DiffractingTreeCounter::next().
-  std::uint64_t next(Ctx& ctx) override { return counter_.next(ctx); }
-
-  /// Leaves' combined bound (kUnbounded if every leaf is unbounded).
-  std::uint64_t capacity() const override { return counter_.capacity(); }
-
-  /// Quiescently consistent regardless of leaf consistency; see file comment.
-  Consistency consistency() const override { return Consistency::kQuiescent; }
-
-  /// The native tree object.
-  sharded::DiffractingTreeCounter& impl() { return counter_; }
-
- private:
-  sharded::DiffractingTreeCounter counter_;
 };
 
 }  // namespace renamelib::api

@@ -148,16 +148,6 @@ std::uint64_t Spec::get_u64(std::string_view key, std::uint64_t def) const {
   return out;
 }
 
-bool Spec::get_bool(std::string_view key, bool def) const {
-  const SpecValue* v = find(key);
-  if (v == nullptr) return def;
-  const std::string& s = v->scalar();
-  if (s == "0") return false;
-  if (s == "1") return true;
-  throw std::invalid_argument("spec option '" + std::string(key) +
-                              "' must be 0 or 1, got '" + s + "'");
-}
-
 Spec Spec::get_spec(std::string_view key, std::string_view def) const {
   const SpecValue* v = find(key);
   if (v == nullptr) return parse(std::string(def));

@@ -5,11 +5,11 @@
 /// A spec describes one object as `name[:key=value,...]`. Spec v2 turns that
 /// string into data: `Spec::parse` produces an AST — the implementation name
 /// plus ordered key→value options, where a value is either a scalar string
-/// or a *nested* Spec (bracketed, e.g. `difftree:leaf=[striped:stripes=8]`)
+/// or a *nested* Spec (bracketed, e.g. `lease:inner=[striped:stripes=8]`)
 /// — and `Spec::print` renders the *canonical* text form: keys sorted,
 /// nested values bracketed exactly when they carry options. Canonical
 /// printing makes specs stable identifiers: two spellings that configure the
-/// same object (`striped:elim=1,stripes=8` vs `striped:stripes=8,elim=1`)
+/// same object (`lease:procs=4,quota=8` vs `lease:quota=8,procs=4`)
 /// print identically, so bench reports match across key reordering and
 /// tools/bench_compare.py can pair runs by spec instead of by run label.
 ///
@@ -25,11 +25,11 @@
 ///
 /// `SpecBuilder` is the fluent construction side:
 /// \code
-///   const Spec s = SpecBuilder("difftree")
-///                      .opt("depth", 3)
-///                      .opt("leaf", SpecBuilder("striped").opt("stripes", 8))
+///   const Spec s = SpecBuilder("lease")
+///                      .opt("quota", 8)
+///                      .opt("inner", SpecBuilder("striped").opt("stripes", 8))
 ///                      .build();
-///   s.print();  // "difftree:depth=3,leaf=[striped:stripes=8]"
+///   s.print();  // "lease:inner=[striped:stripes=8],quota=8"
 /// \endcode
 ///
 /// Typed option *validation* (ranges, enums, nested facets) lives with the
@@ -119,8 +119,6 @@ class Spec {
   /// Unsigned value of `key` (throws std::invalid_argument when the value
   /// is nested or not an unsigned integer), or `def` when absent.
   std::uint64_t get_u64(std::string_view key, std::uint64_t def) const;
-  /// Boolean value of `key` ("0" or "1"; throws otherwise), or `def`.
-  bool get_bool(std::string_view key, bool def) const;
   /// Nested-spec value of `key` (scalars promoted via SpecValue::as_spec),
   /// or `parse(def)` when absent.
   Spec get_spec(std::string_view key, std::string_view def) const;

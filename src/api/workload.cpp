@@ -272,49 +272,8 @@ void ensure_proc_placement(const Scenario& s, const void* obj) {
 
 Run Workload::run(ICounter& counter) const {
   ensure_proc_placement(scenario_, &counter);
-  if (scenario_.batch <= 1) {
-    return run_metered([&counter](Ctx& ctx, int) { return counter.next(ctx); },
-                       [](int) { return "fai"; });
-  }
-  // Batched mode: each process keeps a private buffer of pending value runs,
-  // refilled through the counter's ranged mint whenever it runs dry. The
-  // buffers are harness state (padded so neighbours don't share a line), not
-  // protocol state — a crashed process simply orphans its unserved values.
-  struct alignas(64) Pending {
-    std::vector<ValueRange> runs;
-    std::size_t run_ix = 0;
-    std::uint64_t offset = 0;
-  };
-  auto pending = std::make_shared<std::vector<Pending>>(
-      static_cast<std::size_t>(scenario_.nproc));
-  const auto batch = static_cast<std::uint64_t>(scenario_.batch);
-  const int ops = scenario_.ops_per_proc;
-  return run_metered(
-      [&counter, pending, slots = pending->data(), batch,
-       ops](Ctx& ctx, int i) -> std::uint64_t {
-        auto& p = slots[static_cast<std::size_t>(ctx.pid())];
-        while (p.run_ix < p.runs.size() &&
-               p.offset >= p.runs[p.run_ix].count) {
-          ++p.run_ix;
-          p.offset = 0;
-        }
-        if (p.run_ix >= p.runs.size()) {
-          p.runs.clear();
-          p.run_ix = 0;
-          p.offset = 0;
-          const auto remaining = static_cast<std::uint64_t>(ops - i);
-          counter.next_range(ctx, std::min(batch, remaining), p.runs);
-          while (p.run_ix < p.runs.size() && p.runs[p.run_ix].count == 0) {
-            ++p.run_ix;
-          }
-          RENAMELIB_ENSURE(p.run_ix < p.runs.size(),
-                           "ranged mint returned no values");
-        }
-        const std::uint64_t v = p.runs[p.run_ix].at(p.offset);
-        ++p.offset;
-        return v;
-      },
-      [](int) { return "fai"; });
+  return run_metered([&counter](Ctx& ctx, int) { return counter.next(ctx); },
+                     [](int) { return "fai"; });
 }
 
 Run Workload::run(IRenaming& obj) const {
@@ -371,7 +330,6 @@ void Workload::execute(const std::function<void(Ctx&)>& body, std::mutex& mu,
   RENAMELIB_ENSURE(scenario_.think_max >= 0 && scenario_.burst_max >= 1,
                    "arrival shaping needs think_max >= 0 and burst_max >= 1");
   RENAMELIB_ENSURE(scenario_.zipf_s >= 0, "scenario needs zipf_s >= 0");
-  RENAMELIB_ENSURE(scenario_.batch >= 1, "scenario needs batch >= 1");
   if (scenario_.backend == Backend::kProc) {
     RENAMELIB_ENSURE(!scenario_.record_history,
                      "history recording is not supported on the proc backend "

@@ -129,14 +129,6 @@ struct Scenario {
   /// tail-faithful at period granularity while the loop stays tight. 0
   /// disables latency recording entirely.
   int latency_sample_period = 1;
-  /// Counter workloads (run(ICounter&)): values per ranged mint. 1 (the
-  /// default) keeps the plain per-op next() path — existing scenarios are
-  /// unchanged. When > 1, each process refills a private pending-run buffer
-  /// via ICounter::next_range in chunks of min(batch, remaining ops) and
-  /// serves subsequent operations from it. The refilling operation is
-  /// charged the whole mint's cost, so per-op step/latency figures are
-  /// amortized.
-  int batch = 1;
   /// Simulated backend: abort runaway executions after this many steps.
   std::uint64_t max_total_steps = 50'000'000;
 };

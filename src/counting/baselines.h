@@ -25,11 +25,6 @@ class AtomicCounter {
   void increment(Ctx& ctx) { value_.fetch_add(ctx, 1); }
   std::uint64_t read(Ctx& ctx) { return value_.load(ctx); }
   std::uint64_t fetch_and_increment(Ctx& ctx) { return value_.fetch_add(ctx, 1); }
-  /// Ranged mint: reserves k consecutive values in one crossing, returning
-  /// the first (the batched-increment fast path).
-  std::uint64_t fetch_and_add(Ctx& ctx, std::uint64_t k) {
-    return value_.fetch_add(ctx, k);
-  }
 
  private:
   Register<std::uint64_t> value_{0};

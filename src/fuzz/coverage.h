@@ -4,21 +4,20 @@
 /// A process-wide map of cheap counters, ticked from the interesting
 /// decision points of the runtime — scheduler grants in the simulated
 /// executor (which pid ran after which, on what kind of shared step, in
-/// which protocol phase), CAS-failure paths in core/Register, elimination
-/// pairings/handoffs/reclaims in the sharded layer, and the lease broker's
-/// refill/pool-grant/seize events. The fuzzer (src/fuzz/fuzzer.h) resets the
-/// map before each generated execution and afterwards folds the hit cells
-/// into an AFL-style (cell, log-bucketed count) feature set: an input that
-/// lights up a feature no previous input produced is "interesting" and kept
-/// for mutation, which is what steers the search toward rare interleavings
-/// instead of re-sampling the common ones.
+/// which protocol phase), CAS-failure paths in core/Register, and the lease
+/// broker's refill/pool-grant/seize events. The fuzzer (src/fuzz/fuzzer.h)
+/// resets the map before each generated execution and afterwards folds the
+/// hit cells into an AFL-style (cell, log-bucketed count) feature set: an
+/// input that lights up a feature no previous input produced is
+/// "interesting" and kept for mutation, which is what steers the search
+/// toward rare interleavings instead of re-sampling the common ones.
 ///
 /// The hooks are free when idle: every instrumentation site checks one
 /// relaxed atomic flag and branches away, so benches and tests that never
 /// enable coverage pay a load+branch on their *slow* paths only (the hooks
-/// sit on failure/collision/refill paths, never on a fast path's success
-/// branch). Hits are relaxed increments on a fixed-size array — safe from
-/// any thread, and deterministic under the simulated backend because grants
+/// sit on failure/refill paths, never on a fast path's success branch).
+/// Hits are relaxed increments on a fixed-size array — safe from any
+/// thread, and deterministic under the simulated backend because grants
 /// serialize all shared-memory activity.
 ///
 /// Features must be reproducible across process runs: NEVER feed raw

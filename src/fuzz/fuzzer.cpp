@@ -44,19 +44,12 @@ void guard_lease_procs(const api::Spec& spec, int nproc) {
   }
 }
 
-/// Elimination may orphan one in-flight ticket per crashed process (see
-/// tests/api_conformance_test.cpp): that is declared slack, not a bug.
-std::uint64_t elim_slack(const api::Spec& spec, std::size_t crashed) {
-  return spec.print().find("elim=1") != std::string::npos ? crashed : 0;
-}
-
 /// Largest op count a counter spec can absorb without *any* layer
 /// saturating. Saturation legitimately duplicates values (the paper's
 /// saturating sequential spec), so the harness must stay clear of it for the
-/// uniqueness oracles to be meaningful. Composite specs are walked
-/// structurally: a lease mints at most ceil(A/quota) + nproc inner tickets,
-/// a diffracting tree routes at most ceil(A/2^depth) + nproc ops to one
-/// leaf; everything else is judged by its own constructed capacity().
+/// uniqueness oracles to be meaningful. A lease is walked structurally: it
+/// mints at most ceil(A/quota) + nproc inner tickets; everything else is
+/// judged by its own constructed capacity().
 std::uint64_t safe_counter_ops(const api::Registry& reg, const api::Spec& spec,
                                int nproc, std::size_t crashes) {
   const auto p = static_cast<std::uint64_t>(nproc);
@@ -66,13 +59,6 @@ std::uint64_t safe_counter_ops(const api::Registry& reg, const api::Spec& spec,
     const std::uint64_t tickets = safe_counter_ops(reg, inner, nproc, crashes);
     if (tickets == kNoLimit) return kNoLimit;
     return tickets < p + 2 ? 0 : (tickets - p - 1) * quota;
-  }
-  if (spec.name() == "difftree") {
-    const std::uint64_t leaves = 1ULL << spec.get_u64("depth", 3);
-    const api::Spec leaf = spec.get_spec("leaf", "atomic_fai");
-    const std::uint64_t per_leaf = safe_counter_ops(reg, leaf, nproc, crashes);
-    if (per_leaf == kNoLimit) return kNoLimit;
-    return per_leaf < p + 2 ? 0 : (per_leaf - p - 1) * leaves;
   }
   const std::uint64_t cap = reg.make_counter(spec)->capacity();
   if (cap == api::ICounter::kUnbounded) return kNoLimit;
@@ -87,37 +73,15 @@ std::uint64_t safe_counter_ops(const api::Registry& reg, const api::Spec& spec,
 /// nested leases keeps the bound sound for lease-over-lease specs, which the
 /// flat `attempted + nproc * quota` conformance bound is not.
 std::uint64_t escrow_value_bound(const api::Spec& spec, std::uint64_t planned,
-                                 int nproc, std::uint64_t slack) {
+                                 int nproc) {
   if (spec.name() == "lease") {
     const std::uint64_t quota = spec.get_u64("quota", 64);
     const api::Spec inner = spec.get_spec("inner", "atomic_fai");
     const std::uint64_t tickets =
         planned / quota + 1 + static_cast<std::uint64_t>(nproc);
-    return escrow_value_bound(inner, tickets, nproc, slack) * quota;
+    return escrow_value_bound(inner, tickets, nproc) * quota;
   }
-  if (spec.name() == "difftree") {
-    // value = leaf_rank * leaves + leaf_idx, so the composed bound is the
-    // leaf's rank bound scaled by the fan-out; each leaf absorbs at most
-    // ceil(planned/leaves) + nproc ops.
-    const std::uint64_t leaves = 1ULL << spec.get_u64("depth", 3);
-    const api::Spec leaf = spec.get_spec("leaf", "atomic_fai");
-    const std::uint64_t per_leaf =
-        planned / leaves + 1 + static_cast<std::uint64_t>(nproc);
-    return escrow_value_bound(leaf, per_leaf, nproc, slack) * leaves;
-  }
-  return planned + slack;
-}
-
-/// True when an escrow lease sits anywhere in the spec tree. A lease below
-/// the top level (a difftree leaf, say) keeps its declared entry consistency
-/// but its values are unique-but-sparse ranges all the same — density is
-/// gone for good and the composed bound above is what uniqueness keys on.
-bool has_escrow(const api::Spec& spec) {
-  if (spec.name() == "lease") return true;
-  for (const auto& [key, value] : spec.options()) {
-    if (value.is_spec() && has_escrow(value.spec())) return true;
-  }
-  return false;
+  return planned;
 }
 
 /// Total acquires a renaming spec can absorb with `nproc` clients before
@@ -150,25 +114,16 @@ OracleResult judge_counter_values(const api::Spec& spec,
                                   const std::vector<std::uint64_t>& values,
                                   std::uint64_t planned, int nproc,
                                   std::size_t crashed) {
-  const std::uint64_t slack = elim_slack(spec, crashed);
   if (consistency == api::Consistency::kEscrow) {
     const std::uint64_t quota = spec.get_u64("quota", 64);
-    const std::uint64_t bound = escrow_value_bound(spec, planned, nproc, slack);
+    const std::uint64_t bound = escrow_value_bound(spec, planned, nproc);
     // check_escrow_bound reconstructs attempted + nproc * quota; feed it the
     // attempted that makes that expression our (nesting-sound) bound.
     return check_escrow_bound(
         values, bound - static_cast<std::uint64_t>(nproc) * quota, nproc,
         quota);
   }
-  if (has_escrow(spec)) {
-    // Escrow below the top level (e.g. difftree over a lease leaf): the
-    // entry's declared consistency still says dense/linearizable, but the
-    // leaf hands out sparse quota ranges — only uniqueness within the
-    // composed bound survives the nesting.
-    return check_unique_bounded(
-        values, escrow_value_bound(spec, planned, nproc, slack));
-  }
-  if (crashed > 0) return check_unique_bounded(values, planned + slack);
+  if (crashed > 0) return check_unique_bounded(values, planned);
   return check_dense_prefix(values);
 }
 
@@ -254,10 +209,8 @@ CaseResult run_counter_case(const api::Registry& reg, const api::Spec& spec,
 
   const auto counter = reg.make_counter(spec);
   api::Scenario s = clamped_scenario(c, nproc, ops, crashes);
-  // Nested escrow disqualifies the FAI spec the same way top-level kEscrow
-  // does: handed-out values are sparse ranges, not successive ranks.
   const bool check_wg = info->consistency == api::Consistency::kLinearizable &&
-                        crashes == 0 && planned <= 64 && !has_escrow(spec);
+                        crashes == 0 && planned <= 64;
   s.record_history = check_wg;
   const api::Run run = api::Workload(s).run(*counter);
   r.crashed_procs = run.crashed_procs;
@@ -436,10 +389,8 @@ CaseResult run_readable_case(const api::Registry& reg, const api::Spec& spec,
   r.attempted = planned;
 
   api::Scenario s = clamped_scenario(c, nproc, ops, crashes);
-  // Nested escrow disqualifies the FAI spec the same way top-level kEscrow
-  // does: handed-out values are sparse ranges, not successive ranks.
   const bool check_wg = info->consistency == api::Consistency::kLinearizable &&
-                        crashes == 0 && planned <= 64 && !has_escrow(spec);
+                        crashes == 0 && planned <= 64;
   s.record_history = check_wg;
   const api::Run run = api::Workload(s).run(*obj);
   r.crashed_procs = run.crashed_procs;

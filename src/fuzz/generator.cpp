@@ -8,12 +8,9 @@ namespace renamelib::fuzz {
 namespace {
 
 /// Generation-time ceiling for integer options: schemas allow up to 2^20,
-/// but giant geometries (a million probe slots, a 2^10-leaf tree) only make
-/// construction slow without reaching new protocol states at fuzz scale.
-std::uint64_t generation_cap(const api::OptionSchema& o) {
-  if (o.key == "depth") return 5;  // 2^depth leaves, each a nested subtree
-  return 4096;
-}
+/// but giant geometries (a million probe slots) only make construction slow
+/// without reaching new protocol states at fuzz scale.
+constexpr std::uint64_t kGenerationCap = 4096;
 
 std::uint64_t pow2_at_most(std::uint64_t v) {
   std::uint64_t p = 1;
@@ -43,7 +40,7 @@ const api::EntryDescription* Generator::entry_of(
 
 std::string Generator::random_int_value(const api::OptionSchema& o,
                                         Rng& rng) const {
-  const std::uint64_t cap = std::max(o.min, std::min(o.max, generation_cap(o)));
+  const std::uint64_t cap = std::max(o.min, std::min(o.max, kGenerationCap));
   if (o.pow2) {
     const std::uint64_t hi = pow2_at_most(cap);
     std::vector<std::uint64_t> candidates{o.min, hi};
@@ -70,9 +67,6 @@ api::Spec Generator::random_spec(const api::EntryDescription& entry, Rng& rng,
     switch (o.type) {
       case api::OptionSchema::Type::kInt:
         spec.set(o.key, api::SpecValue(random_int_value(o, rng)));
-        break;
-      case api::OptionSchema::Type::kBool:
-        spec.set(o.key, api::SpecValue(rng.coin() ? "1" : "0"));
         break;
       case api::OptionSchema::Type::kEnum:
         spec.set(o.key,

@@ -5,9 +5,9 @@
 /// Registry::describe() and mints random *valid* specs straight from the
 /// typed option schemas — integers at and near their declared boundaries
 /// (min, min+1, the default, a random interior point, and a capped maximum
-/// that keeps construction cheap), every enum choice, both booleans, and
-/// nested spec options recursing into the target facet's own catalog up to a
-/// fixed depth. Scenarios pair the spec with adversarial geometry: crash
+/// that keeps construction cheap), every enum choice, and nested spec
+/// options recursing into the target facet's own catalog up to a fixed
+/// depth. Scenarios pair the spec with adversarial geometry: crash
 /// storms, think-time/bursty arrivals, hot read mixes, and (for small cases)
 /// exhaustive schedule exploration via sim/explore.
 ///

@@ -39,9 +39,9 @@ struct OracleResult {
 /// non-escrow counter facet once all processes finished).
 OracleResult check_dense_prefix(const std::vector<std::uint64_t>& values);
 
-/// Crash-mode counter safety: values unique and < `bound` (started ops plus
-/// any declared orphan slack — crashes may strand values but never duplicate
-/// them or overshoot the started-operation bound).
+/// Crash-mode counter safety: values unique and < `bound` (the started ops —
+/// crashes may strand values but never duplicate them or overshoot the
+/// started-operation bound).
 OracleResult check_unique_bounded(const std::vector<std::uint64_t>& values,
                                   std::uint64_t bound);
 

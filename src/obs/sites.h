@@ -3,7 +3,7 @@
 /// interesting decision point, shared by every observation consumer.
 ///
 /// A Site identifies *where* in the runtime an event happened — a lost CAS
-/// race, an elimination pairing, a lease seize, a balancer traversal. The
+/// race, a lease seize, a balancer traversal. The
 /// enum is the single source of truth for three consumers layered on top of
 /// obs::emit (obs/emit.h): the event bus's per-site monotone counters
 /// (obs/event_bus.h), the flight recorder's post-mortem ring
@@ -32,9 +32,7 @@ enum class Site : std::uint32_t {
   kSchedPoint = 1,     ///< simulated grant: (prev pid, pid, op kind, label)
   kSchedCrash = 2,     ///< simulated crash injection: victim pid
   kCasFail = 3,        ///< Register CAS observed a competing write (label)
-  kElimPair = 4,       ///< elimination: leader claimed a parked waiter (slot)
-  kElimPayload = 5,    ///< elimination: payload delivered to the waiter
-  kElimReclaim = 6,    ///< elimination: claimed waiter timed out and reclaimed
+  // 4-6: reserved (retired elimination sites); never reuse them.
   kLeaseRefillMint = 7,  ///< lease refill served by minting a fresh ticket
   kLeaseRefillPool = 8,  ///< lease refill served from the escrow pool
   kLeaseSeize = 9,       ///< reclaim scan seized a stale lease (slot pid)
@@ -57,9 +55,6 @@ constexpr const char* site_name(Site site) noexcept {
     case Site::kSchedPoint: return "sched_point";
     case Site::kSchedCrash: return "sched_crash";
     case Site::kCasFail: return "cas_fail";
-    case Site::kElimPair: return "elim_pair";
-    case Site::kElimPayload: return "elim_payload";
-    case Site::kElimReclaim: return "elim_reclaim";
     case Site::kLeaseRefillMint: return "lease_refill_mint";
     case Site::kLeaseRefillPool: return "lease_refill_pool";
     case Site::kLeaseSeize: return "lease_seize";
@@ -79,9 +74,6 @@ constexpr const char* site_doc(Site site) noexcept {
     case Site::kSchedPoint: return "simulated scheduler grants";
     case Site::kSchedCrash: return "simulated crash injections";
     case Site::kCasFail: return "Register CAS lost to a competing write";
-    case Site::kElimPair: return "elimination leader claimed a parked waiter";
-    case Site::kElimPayload: return "elimination payload delivered to a waiter";
-    case Site::kElimReclaim: return "claimed elimination waiter timed out";
     case Site::kLeaseRefillMint: return "lease refill minted a fresh range";
     case Site::kLeaseRefillPool: return "lease refill reused an escrowed range";
     case Site::kLeaseSeize: return "reclaim scan seized a stale lease";

@@ -7,11 +7,6 @@ namespace renamelib::sharded {
 StripedCounter::StripedCounter(Options options) : options_(options) {
   RENAMELIB_ENSURE(options_.stripes >= 1, "stripes must be >= 1");
   slots_ = std::make_unique<Slot[]>(options_.stripes);
-  if (options_.elimination) {
-    elim_ = std::make_unique<EliminationArray>(EliminationArray::Options{
-        options_.elim_width, options_.elim_spins, options_.elim_handoff_spins,
-        /*payload=*/true});
-  }
 }
 
 void StripedCounter::increment(Ctx& ctx) {
@@ -28,43 +23,11 @@ std::uint64_t StripedCounter::read(Ctx& ctx) {
   return sum;
 }
 
-std::uint64_t StripedCounter::take(Ctx& ctx, std::uint64_t ticket) {
+std::uint64_t StripedCounter::next(Ctx& ctx) {
+  const std::uint64_t ticket = spray_.fetch_add(ctx, 1);
   const std::uint64_t stripe = ticket % options_.stripes;
   const std::uint64_t rank = slots_[stripe].count.fetch_add(ctx, 1);
   return rank * options_.stripes + stripe;
-}
-
-void StripedCounter::next_batch(Ctx& ctx, std::uint64_t k,
-                                std::vector<Run>& out) {
-  if (k == 0) return;
-  const std::uint64_t S = options_.stripes;
-  const std::uint64_t t0 = spray_.fetch_add(ctx, k);
-  // Tickets t0..t0+k-1 round-robin over the stripes exactly as k single
-  // takes would; one fetch&add per touched stripe consumes its share.
-  for (std::uint64_t j = 0; j < S && j < k; ++j) {
-    const std::uint64_t ticket = t0 + j;
-    const std::uint64_t stripe = ticket % S;
-    const std::uint64_t share = (k - 1 - j) / S + 1;
-    const std::uint64_t rank = slots_[stripe].count.fetch_add(ctx, share);
-    out.push_back(Run{rank * S + stripe, S, share});
-  }
-}
-
-std::uint64_t StripedCounter::next(Ctx& ctx) {
-  if (elim_ != nullptr) {
-    const auto collision = elim_->try_collide(ctx);
-    if (collision.role == EliminationArray::Role::kWaiter) {
-      return collision.value;
-    }
-    if (collision.role == EliminationArray::Role::kLeader) {
-      // Serve the partner first, one ticket at a time: if the waiter timed
-      // out and reclaimed, the offered value simply becomes our own — every
-      // taken ticket is consumed either way, so the dense prefix survives.
-      const std::uint64_t offered = take(ctx, spray_.fetch_add(ctx, 1));
-      if (!elim_->deliver(ctx, collision, offered)) return offered;
-    }
-  }
-  return take(ctx, spray_.fetch_add(ctx, 1));
 }
 
 }  // namespace renamelib::sharded

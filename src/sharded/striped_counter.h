@@ -17,35 +17,21 @@
 //     values form a dense prefix {0..T-1} once quiescent — but not in real
 //     time order, so the object is quiescently consistent, not linearizable
 //     (a delayed op can publish a small value after later ops finished).
-//
-// With elimination enabled, next() first tries to collide in an
-// EliminationArray (payload mode): a leader takes a ticket for its waiter,
-// hands over the resulting value, then takes its own — the waiter never
-// touches a stripe, halving slot traffic under contention. Tickets are taken
-// one at a time so the accounting stays exact when a waiter times out of the
-// handoff and the leader keeps the offered value for itself (crash-tolerant
-// elimination: see sharded/elimination.h).
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <vector>
 
 #include "core/ctx.h"
 #include "core/register.h"
-#include "sharded/elimination.h"
 
 namespace renamelib::sharded {
 
 class StripedCounter {
  public:
   struct Options {
-    std::size_t stripes = 64;      ///< number of padded slots
-    bool elimination = false;      ///< pair-combine next() ops under contention
-    std::size_t elim_width = 4;    ///< collision slots (when elimination)
-    int elim_spins = 4;            ///< bounded waiter spins (when elimination)
-    int elim_handoff_spins = 64;   ///< bounded claimed-waiter delivery spins
+    std::size_t stripes = 64;  ///< number of padded slots
   };
 
   explicit StripedCounter(Options options);
@@ -61,23 +47,6 @@ class StripedCounter {
   /// comment). Sequential calls return exactly 0, 1, 2, ...
   std::uint64_t next(Ctx& ctx);
 
-  /// One value run per touched stripe: base, base + stride, ... Appended by
-  /// next_batch (dispenser mode's ranged mint).
-  struct Run {
-    std::uint64_t base = 0;
-    std::uint64_t stride = 1;
-    std::uint64_t count = 0;
-  };
-
-  /// Dispenser mode, batched: reserves k spray tickets in one crossing,
-  /// consumes each touched stripe with a single fetch&add, and appends one
-  /// stride-S run per stripe (min(k, stripes) + 1 crossings for k values
-  /// instead of 2k). The ticket multiset is identical to k single next()
-  /// calls, so the dense-prefix-at-quiescence property is untouched.
-  /// Elimination, which pairs individual ops, is bypassed — a batch is
-  /// already combined.
-  void next_batch(Ctx& ctx, std::uint64_t k, std::vector<Run>& out);
-
   std::size_t stripes() const noexcept { return options_.stripes; }
 
  private:
@@ -85,10 +54,6 @@ class StripedCounter {
   struct alignas(64) Slot {
     Register<std::uint64_t> count{0};
   };
-
-  /// Consumes spray ticket `t`: fetch&add on stripe t mod S, returns the
-  /// interleaved value rank*S + stripe.
-  std::uint64_t take(Ctx& ctx, std::uint64_t ticket);
 
   Options options_;
   std::unique_ptr<Slot[]> slots_;
@@ -102,7 +67,6 @@ class StripedCounter {
   // hardware-mode cache behavior (the read-modify-write that carries the
   // value lands on S spread-out lines), not paper-model step count.
   Register<std::uint64_t> spray_{0};
-  std::unique_ptr<EliminationArray> elim_;
 };
 
 }  // namespace renamelib::sharded

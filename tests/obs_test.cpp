@@ -48,14 +48,14 @@ TEST_F(ObsTest, GateBitsAreIndependent) {
   EventBus::set_enabled(true);
   EXPECT_TRUE(EventBus::enabled());
   EXPECT_FALSE(FlightRecorder::enabled());
-  emit(Site::kElimPair, 1);
-  EXPECT_EQ(EventBus::instance().snapshot().count(Site::kElimPair), 1u);
+  emit(Site::kLeaseSeize, 1);
+  EXPECT_EQ(EventBus::instance().snapshot().count(Site::kLeaseSeize), 1u);
   EXPECT_EQ(FlightRecorder::instance().recorded(), 0u);
 
   EventBus::set_enabled(false);
   FlightRecorder::set_enabled(true);
-  emit(Site::kElimPair, 2);
-  EXPECT_EQ(EventBus::instance().snapshot().count(Site::kElimPair), 1u);
+  emit(Site::kLeaseSeize, 2);
+  EXPECT_EQ(EventBus::instance().snapshot().count(Site::kLeaseSeize), 1u);
   EXPECT_EQ(FlightRecorder::instance().recorded(), 1u);
 }
 
@@ -69,7 +69,7 @@ TEST_F(ObsTest, BusMergesPerThreadShardsExactly) {
     threads.emplace_back([] {
       for (int i = 0; i < kPerThread; ++i) {
         EventBus::instance().count(Site::kCasFail);
-        if (i % 2 == 0) EventBus::instance().count(Site::kElimPair);
+        if (i % 2 == 0) EventBus::instance().count(Site::kLeaseSeize);
       }
     });
   }
@@ -77,10 +77,10 @@ TEST_F(ObsTest, BusMergesPerThreadShardsExactly) {
   const EventSnapshot snap = EventBus::instance().snapshot();
   EXPECT_EQ(snap.count(Site::kCasFail),
             static_cast<std::uint64_t>(kThreads) * kPerThread);
-  EXPECT_EQ(snap.count(Site::kElimPair),
+  EXPECT_EQ(snap.count(Site::kLeaseSeize),
             static_cast<std::uint64_t>(kThreads) * kPerThread / 2);
   EXPECT_EQ(snap.total(), snap.count(Site::kCasFail) +
-                              snap.count(Site::kElimPair));
+                              snap.count(Site::kLeaseSeize));
 }
 
 TEST_F(ObsTest, SnapshotDeltaMergeAndNonzero) {
@@ -89,12 +89,12 @@ TEST_F(ObsTest, SnapshotDeltaMergeAndNonzero) {
   a.set(Site::kLeaseSeize, 3);
   EventSnapshot b;
   b.set(Site::kCasFail, 4);
-  b.set(Site::kElimPair, 5);
+  b.set(Site::kLeaseDrop, 5);
 
   EventSnapshot sum = a;
   sum.merge(b);
   EXPECT_EQ(sum.count(Site::kCasFail), 14u);
-  EXPECT_EQ(sum.count(Site::kElimPair), 5u);
+  EXPECT_EQ(sum.count(Site::kLeaseDrop), 5u);
   EXPECT_EQ(sum.count(Site::kLeaseSeize), 3u);
   EXPECT_EQ(sum.total(), 22u);
 
@@ -104,7 +104,7 @@ TEST_F(ObsTest, SnapshotDeltaMergeAndNonzero) {
   // Saturating: a reset between two snapshots cannot wrap a delta negative.
   const EventSnapshot floor = b - sum;
   EXPECT_EQ(floor.count(Site::kCasFail), 0u);
-  EXPECT_EQ(floor.count(Site::kElimPair), 0u);
+  EXPECT_EQ(floor.count(Site::kLeaseDrop), 0u);
   EXPECT_TRUE(floor.empty());
 
   // nonzero() is the sparse ascending-site form reports serialize.
@@ -145,7 +145,7 @@ TEST_F(ObsTest, FlightRecorderWrapKeepsNewestEntriesInOrder) {
   FlightRecorder::set_enabled(true);
   constexpr std::uint64_t kTotal = FlightRecorder::kCapacity * 2 + 57;
   for (std::uint64_t i = 0; i < kTotal; ++i) {
-    emit_for(Site::kElimPair, i, static_cast<int>(i % 5));
+    emit_for(Site::kLeaseSeize, i, static_cast<int>(i % 5));
   }
   EXPECT_EQ(FlightRecorder::instance().recorded(), kTotal);
   const auto tail = FlightRecorder::instance().dump();
@@ -154,12 +154,12 @@ TEST_F(ObsTest, FlightRecorderWrapKeepsNewestEntriesInOrder) {
   const std::uint64_t first = kTotal - FlightRecorder::kCapacity;
   for (std::size_t i = 0; i < tail.size(); ++i) {
     EXPECT_EQ(tail[i].seq, first + i);
-    EXPECT_EQ(tail[i].site, Site::kElimPair);
+    EXPECT_EQ(tail[i].site, Site::kLeaseSeize);
     EXPECT_EQ(tail[i].feature, first + i);
     EXPECT_EQ(tail[i].pid, static_cast<int>((first + i) % 5));
   }
   const std::string text = FlightRecorder::instance().format_tail(4);
-  EXPECT_NE(text.find("elim_pair"), std::string::npos);
+  EXPECT_NE(text.find("lease_seize"), std::string::npos);
   EXPECT_NE(text.find("#" + std::to_string(kTotal - 1)), std::string::npos);
 }
 
@@ -167,14 +167,14 @@ TEST_F(ObsTest, ThreadPidScopeTagsAndRestores) {
   FlightRecorder::set_enabled(true);
   {
     ThreadPidScope outer(2);
-    emit(Site::kElimPair, 0);
+    emit(Site::kLeaseSeize, 0);
     {
       ThreadPidScope inner(9);
-      emit(Site::kElimPair, 1);
+      emit(Site::kLeaseSeize, 1);
     }
-    emit(Site::kElimPair, 2);
+    emit(Site::kLeaseSeize, 2);
   }
-  emit(Site::kElimPair, 3);  // back to the -1 harness default
+  emit(Site::kLeaseSeize, 3);  // back to the -1 harness default
   const auto tail = FlightRecorder::instance().dump();
   ASSERT_EQ(tail.size(), 4u);
   EXPECT_EQ(tail[0].pid, 2);
@@ -197,7 +197,7 @@ TEST_F(ObsTest, ReportEventsRoundTripAndStayOptional) {
   with.latency = stats::LatencySnapshot::of({1, 2, 3});
   EventSnapshot snap;
   snap.set(Site::kCasFail, 17);
-  snap.set(Site::kElimPair, 5);
+  snap.set(Site::kLeaseSeize, 5);
   with.events = api::report_events(snap);
   report.runs.push_back(with);
   api::ReportRun without = with;
@@ -208,7 +208,7 @@ TEST_F(ObsTest, ReportEventsRoundTripAndStayOptional) {
   const std::string json = report.to_json();
   // Only the evented run carries the section; event-less runs keep the
   // pre-events byte form.
-  EXPECT_NE(json.find("\"events\": {\"cas_fail\": 17, \"elim_pair\": 5}"),
+  EXPECT_NE(json.find("\"events\": {\"cas_fail\": 17, \"lease_seize\": 5}"),
             std::string::npos);
   EXPECT_EQ(json.find("\"events\""), json.rfind("\"events\""));
 
@@ -263,16 +263,18 @@ TEST_F(ObsTest, ReportEventsRejectMalformedCounts) {
 TEST_F(ObsTest, SiteNamesAreStableAndDocumented) {
   // Names key report JSON; ids key coverage features. Spot-check the pinned
   // values so an accidental renumber/rename fails here, not in a baseline
-  // diff three commits later. Ids 11-16 are reserved (retired sites): the
-  // ids after them keep their values and the reserved ones have no name.
+  // diff three commits later. Ids 4-6 and 11-16 are reserved (retired
+  // sites): the ids after them keep their values and the reserved ones have
+  // no name.
   EXPECT_EQ(static_cast<std::uint32_t>(Site::kCasFail), 3u);
+  EXPECT_EQ(static_cast<std::uint32_t>(Site::kLeaseRefillMint), 7u);
   EXPECT_EQ(static_cast<std::uint32_t>(Site::kNetBalancer), 17u);
   EXPECT_EQ(static_cast<std::uint32_t>(Site::kSplitterDown), 20u);
   EXPECT_STREQ(site_name(Site::kCasFail), "cas_fail");
   EXPECT_STREQ(site_name(Site::kNetBalancer), "net_balancer");
   for (std::size_t i = 1; i < kSiteCount; ++i) {
     const auto site = static_cast<Site>(i);
-    if (i >= 11 && i <= 16) {
+    if ((i >= 4 && i <= 6) || (i >= 11 && i <= 16)) {
       EXPECT_STREQ(site_name(site), "unknown") << i;
       continue;
     }

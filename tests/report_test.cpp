@@ -19,7 +19,7 @@ BenchReport sample_report() {
   report.git_describe = "v0-test";
   ReportRun hw;
   hw.name = "shootout";
-  hw.spec = "difftree:depth=2,leaf=[striped:stripes=4]";
+  hw.spec = "lease:inner=[striped:stripes=4],quota=8";
   hw.backend = "hardware";
   hw.threads = 8;
   hw.ops = 4096;

@@ -1,22 +1,16 @@
-// Unit tests for the sharded counter family (src/sharded): striped counter
-// statistic + dispenser modes, diffracting-tree routing, and the shared
-// elimination layer. Registry-level conformance (dense prefixes under both
-// backends across the spec sweep) lives in api_conformance_test.cpp; this
-// file checks the native-object contracts the facade does not see —
-// read-monotonicity of the striped combine, exact sequential value order,
-// leaf routing, capacity composition, and elimination fallback.
+// Unit tests for the sharded counter family (src/sharded): the striped
+// counter's statistic and dispenser modes. Registry-level conformance (dense
+// prefixes under both backends across the spec sweep) lives in
+// api_conformance_test.cpp; this file checks the native-object contracts the
+// facade does not see — read-monotonicity of the striped combine and exact
+// sequential value order.
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <atomic>
 #include <cstdint>
 #include <vector>
 
-#include "api/registry.h"
-#include "api/sharded_counters.h"
 #include "api/workload.h"
-#include "sharded/diffracting_tree.h"
-#include "sharded/elimination.h"
 #include "sharded/striped_counter.h"
 
 namespace renamelib::sharded {
@@ -75,19 +69,10 @@ TEST(StripedCounter, ReadIsMonotoneUnderTheAdversarialSimulator) {
   }
 }
 
-TEST(StripedCounter, EliminationFallsBackWhenAlone) {
-  // A lone process can never pair: every next() must time out of the
-  // elimination layer and still produce the right value.
-  StripedCounter c({.stripes = 4, .elimination = true, .elim_spins = 2});
-  Ctx ctx(0, 5);
-  for (std::uint64_t i = 0; i < 20; ++i) {
-    EXPECT_EQ(c.next(ctx), i);
-  }
-}
-
-TEST(StripedCounter, EliminationKeepsValuesDenseUnderHardwareThreads) {
-  // Contention stress: pairing must serve both partners exactly once.
-  StripedCounter c({.stripes = 8, .elimination = true, .elim_width = 2});
+TEST(StripedCounter, DispenserConsumesEveryTicketUnderHardwareThreads) {
+  // Contention stress (and the race detector's view of next()): 800
+  // concurrent takes must consume exactly 800 tickets.
+  StripedCounter c({.stripes = 8});
   api::Scenario s;
   s.nproc = 4;
   s.backend = api::Backend::kHardware;
@@ -102,99 +87,6 @@ TEST(StripedCounter, EliminationKeepsValuesDenseUnderHardwareThreads) {
   for (int i = 0; i < 8; ++i) tail.push_back(c.next(ctx));
   for (std::size_t i = 0; i < tail.size(); ++i) {
     EXPECT_EQ(tail[i], 800 + i);
-  }
-}
-
-// ------------------------------------------------------ diffracting tree ---
-
-api::Registry& reg() { return api::Registry::global(); }
-
-TEST(DiffractingTree, SequentialNextHandsOutConsecutiveValues) {
-  for (const bool prism : {false, true}) {
-    DiffractingTreeCounter tree(
-        {.depth = 2, .prism = prism, .prism_spins = 2},
-        [] { return reg().make_counter("atomic_fai"); });
-    EXPECT_EQ(tree.leaves(), 4u);
-    Ctx ctx(0, 13);
-    for (std::uint64_t i = 0; i < 40; ++i) {
-      EXPECT_EQ(tree.next(ctx), i) << "prism=" << prism;
-    }
-  }
-}
-
-TEST(DiffractingTree, CapacityComposesFromBoundedLeaves) {
-  const auto bounded = reg().make_counter("difftree:depth=1,leaf=[bounded_fai:m=64]");
-  EXPECT_EQ(bounded->capacity(), 128u);
-  const auto unbounded = reg().make_counter("difftree:depth=2");
-  EXPECT_EQ(unbounded->capacity(), api::ICounter::kUnbounded);
-}
-
-TEST(DiffractingTree, ConcurrentValuesStayDenseWithPrisms) {
-  for (std::uint64_t seed = 1; seed <= 3; ++seed) {
-    DiffractingTreeCounter tree(
-        {.depth = 3}, [] { return reg().make_counter("atomic_fai"); });
-    api::Scenario s;
-    s.nproc = 8;
-    s.ops_per_proc = 6;
-    s.backend = api::Backend::kSimulated;
-    s.seed = seed;
-    const api::Run run =
-        api::Workload(s).run_ops([&](Ctx& ctx) { return tree.next(ctx); });
-    std::vector<std::uint64_t> sorted = run.values();
-    std::sort(sorted.begin(), sorted.end());
-    ASSERT_EQ(sorted.size(), 48u);
-    for (std::size_t i = 0; i < sorted.size(); ++i) {
-      ASSERT_EQ(sorted[i], i) << "seed=" << seed;
-    }
-  }
-}
-
-// ----------------------------------------------------- elimination layer ---
-
-TEST(EliminationArray, LoneProcessAlwaysFallsThrough) {
-  EliminationArray ea({.width = 1, .spins = 3, .payload = false});
-  Ctx ctx(0, 17);
-  for (int i = 0; i < 10; ++i) {
-    EXPECT_EQ(ea.try_collide(ctx).role, EliminationArray::Role::kNone);
-  }
-}
-
-TEST(EliminationArray, PairsDeliverExactlyOnceUnderTheSimulator) {
-  // Pairing check under the step-granular adversarial scheduler: every
-  // collision must produce exactly one leader and one waiter, and every
-  // delivered payload must reach exactly its waiter. The leader sends a
-  // distinct token; received and sent totals must match exactly.
-  for (std::uint64_t seed = 1; seed <= 3; ++seed) {
-    EliminationArray ea({.width = 1, .spins = 8, .payload = true});
-    std::atomic<std::uint64_t> delivered_sum{0};
-    std::atomic<std::uint64_t> sent_sum{0};
-    std::atomic<int> pairs{0};
-    api::Scenario s;
-    s.nproc = 3;
-    s.backend = api::Backend::kSimulated;
-    s.sched = api::Sched::kRandom;
-    s.seed = seed;
-    api::Workload(s).run_body([&](Ctx& ctx) {
-      for (std::uint64_t i = 1; i <= 40; ++i) {
-        const auto c = ea.try_collide(ctx);
-        if (c.role == EliminationArray::Role::kLeader) {
-          const std::uint64_t token =
-              static_cast<std::uint64_t>(ctx.pid()) * 1000 + i;
-          // A false return means the waiter timed out of the handoff and
-          // reclaimed: the leader keeps the value, nothing was handed over.
-          if (ea.deliver(ctx, c, token)) {
-            sent_sum.fetch_add(token);
-            pairs.fetch_add(1);
-          }
-        } else if (c.role == EliminationArray::Role::kWaiter) {
-          delivered_sum.fetch_add(c.value);
-        }
-      }
-    });
-    EXPECT_EQ(delivered_sum.load(), sent_sum.load()) << "seed=" << seed;
-    // Three processes hammering a width-1 array under random scheduling:
-    // collisions must land (deterministic per seed).
-    EXPECT_GT(pairs.load(), 0) << "seed=" << seed;
   }
 }
 

@@ -6,8 +6,8 @@
 //   * the catalog covers the entry (describe() == list(), per facet, with a
 //     non-empty summary and a valid family/consistency label),
 //   * every declared option is accepted at its boundary values (ints at
-//     min and max, pow2 ints at their power-of-two endpoints, bools at 0
-//     and 1, enums at every choice, nested specs at their default) — the
+//     min and max, pow2 ints at their power-of-two endpoints, enums at
+//     every choice, nested specs at their default) — the
 //     object actually constructs, so a schema range wider than what the
 //     factory tolerates cannot ship,
 //   * one undeclared key is rejected with the uniform unknown-key error,
@@ -63,10 +63,6 @@ std::vector<Spec> boundary_specs(const EntryDescription& entry,
     case OptionSchema::Type::kInt:
       out.push_back(with(std::to_string(option.min)));
       out.push_back(with(std::to_string(option.max)));
-      break;
-    case OptionSchema::Type::kBool:
-      out.push_back(with("0"));
-      out.push_back(with("1"));
       break;
     case OptionSchema::Type::kEnum:
       for (const auto& choice : option.choices) out.push_back(with(choice));

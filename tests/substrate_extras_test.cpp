@@ -1,12 +1,11 @@
-// Tests for the deterministic Moir–Anderson grid renaming, the adaptive
-// collect of [25], and the periodic counting network.
+// Tests for the deterministic Moir–Anderson grid renaming and the adaptive
+// collect of [25].
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <map>
 #include <set>
 
-#include "countnet/periodic.h"
 #include "renaming/moir_anderson.h"
 #include "renaming/validate.h"
 #include "sim/executor.h"
@@ -168,53 +167,6 @@ TEST(AdaptiveCollect, AdaptiveCost) {
   ctx.reset_counters();
   (void)collect.collect(ctx);
   EXPECT_LE(ctx.shared_steps(), 16u) << "solo collect must be O(1)-ish";
-}
-
-// ------------------------------------------------------------- Periodic ---
-
-TEST(PeriodicBlock, SingleBlockStructure) {
-  const auto block = countnet::periodic_block(4);
-  // Block[4]: two Block[2] (even/odd pairs) + neighbor layer = 4 balancers.
-  EXPECT_EQ(block.size(), 4u);
-}
-
-class PeriodicStepProperty
-    : public ::testing::TestWithParam<std::tuple<std::size_t, int>> {};
-
-TEST_P(PeriodicStepProperty, SequentialTokens) {
-  const auto [width, tokens] = GetParam();
-  countnet::CountingNetwork net = countnet::periodic_counting_network(width);
-  Ctx ctx(0, 11);
-  for (int t = 0; t < tokens; ++t) {
-    (void)net.next_value(ctx, static_cast<std::size_t>(t) % width);
-  }
-  EXPECT_TRUE(net.has_step_property())
-      << "width " << width << " tokens " << tokens;
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    Sweep, PeriodicStepProperty,
-    ::testing::Combine(::testing::Values<std::size_t>(2, 4, 8),
-                       ::testing::Values(1, 5, 8, 17, 32)));
-
-TEST(Periodic, ConcurrentQuiescentStepProperty) {
-  for (std::uint64_t seed = 0; seed < 5; ++seed) {
-    countnet::CountingNetwork net = countnet::periodic_counting_network(8);
-    const int k = 6;
-    sim::RandomAdversary adversary(seed + 21);
-    sim::RunOptions options;
-    options.seed = seed;
-    auto result = sim::run_simulation(
-        k,
-        [&](Ctx& ctx) {
-          for (int i = 0; i < 3; ++i) {
-            (void)net.next_value(ctx, static_cast<std::size_t>(ctx.pid()) % 8);
-          }
-        },
-        adversary, options);
-    ASSERT_EQ(result.finished_count(), static_cast<std::size_t>(k));
-    EXPECT_TRUE(net.has_step_property()) << "seed " << seed;
-  }
 }
 
 }  // namespace

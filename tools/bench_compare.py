@@ -342,22 +342,22 @@ def self_check():
     assert not regs, regs
 
     # Canonicalization mirrors api::Spec::print.
-    assert canonical_spec("striped:stripes=8,elim=1") == \
-        "striped:elim=1,stripes=8"
-    assert canonical_spec("difftree:leaf=[striped:stripes=4,elim=1],depth=2") \
-        == "difftree:depth=2,leaf=[striped:elim=1,stripes=8]".replace("8", "4")
-    assert canonical_spec("difftree:leaf=[atomic_fai]") == \
-        "difftree:leaf=atomic_fai"
-    assert canonical_spec("difftree:leaf=striped:stripes=4") == \
-        "difftree:leaf=[striped:stripes=4]"
+    assert canonical_spec("lease:quota=8,procs=4") == \
+        "lease:procs=4,quota=8"
+    assert canonical_spec("lease:quota=8,inner=[bounded_fai:tas=hw,m=64]") \
+        == "lease:inner=[bounded_fai:m=64,tas=hw],quota=8"
+    assert canonical_spec("lease:inner=[atomic_fai]") == \
+        "lease:inner=atomic_fai"
+    assert canonical_spec("lease:inner=striped:stripes=4") == \
+        "lease:inner=[striped:stripes=4]"
     assert canonical_spec("not a spec") == "not a spec"
     assert canonical_spec("") == ""
 
     # Matching is by configuration: a renamed run with the same spec still
     # pairs, and reordered spec keys are one identity.
     regs, compared, unmatched = diff(
-        _synthetic(name="old_label", spec="striped:stripes=8,elim=1"),
-        _synthetic(name="new_label", spec="striped:elim=1,stripes=8"))
+        _synthetic(name="old_label", spec="lease:quota=8,procs=4"),
+        _synthetic(name="new_label", spec="lease:procs=4,quota=8"))
     assert not regs and compared == 1 and not unmatched
 
     # Runs without a spec fall back to their name.
@@ -383,7 +383,7 @@ def self_check():
 
     # Events: optional, validated when present, diffed as per-op rates.
     doc = _synthetic()
-    doc["runs"][0]["events"] = {"cas_fail": 50, "elim_pair": 10}
+    doc["runs"][0]["events"] = {"cas_fail": 50, "lease_drop": 10}
     validate_report(doc, where="events")
     # Same rates: no regression, rates surfaced in the row.
     out = io.StringIO()
@@ -393,7 +393,7 @@ def self_check():
     # Injected rate regression (50 -> 150 per 100 ops, beyond the 1.0
     # doubling limit): flagged, and naming the site.
     worse = _synthetic()
-    worse["runs"][0]["events"] = {"cas_fail": 150, "elim_pair": 10}
+    worse["runs"][0]["events"] = {"cas_fail": 150, "lease_drop": 10}
     regs, _, _ = compare(doc, worse, 0.25, 0.25, 1.0, out=io.StringIO())
     assert len(regs) == 1 and "cas_fail" in regs[0], regs
     # Within the limit: not flagged. A site appearing only in one leg is
@@ -404,7 +404,7 @@ def self_check():
     regs, _, _ = compare(doc, better, 0.25, 0.25, 1.0, out=out)
     assert not regs, regs
     assert "lease_seize appeared" in out.getvalue(), out.getvalue()
-    assert "elim_pair vanished" in out.getvalue(), out.getvalue()
+    assert "lease_drop vanished" in out.getvalue(), out.getvalue()
     # An event-less baseline against an evented current: no regression
     # (nothing to ratio against), still one comparable run.
     regs, compared, _ = diff(_synthetic(), doc)

@@ -10,6 +10,7 @@
 #include <atomic>
 #include <cstddef>
 #include <memory>
+#include <new>
 #include <type_traits>
 
 #include "core/assert.h"
@@ -52,8 +53,9 @@ class Register {
     if (!ok) {
       // A lost CAS race, keyed by the protocol phase it happened in — the
       // contention signal for both the fuzzer's coverage map and the event
-      // bus's cas_fail counter (free when observation is disabled).
-      obs::emit(obs::Site::kCasFail, fuzz::Coverage::hash_str(ctx.label()));
+      // bus's cas_fail counter. The label is hashed only past the gate, so
+      // with observation disabled this is one load and a branch.
+      obs::emit_label(obs::Site::kCasFail, ctx.label());
     }
     return ok;
   }
@@ -83,13 +85,19 @@ class Register {
 };
 
 /// Fixed-size array of registers (registers are not copyable/movable, so
-/// vector<Register<T>> does not work).
+/// vector<Register<T>> does not work). Each register is constructed holding
+/// `initial`, so building an array costs no atomic stores.
 template <typename T>
 class RegisterArray {
+  static_assert(std::is_trivially_destructible_v<Register<T>>,
+                "the storage is released without running destructors");
+
  public:
   explicit RegisterArray(std::size_t n, T initial = T{})
-      : size_(n), regs_(std::make_unique<Register<T>[]>(n)) {
-    for (std::size_t i = 0; i < n; ++i) regs_[i].poke(initial);
+      : size_(n),
+        regs_(static_cast<Register<T>*>(
+            ::operator new(n * sizeof(Register<T>)))) {
+    for (std::size_t i = 0; i < n; ++i) new (&regs_[i]) Register<T>(initial);
   }
 
   std::size_t size() const noexcept { return size_; }
@@ -104,8 +112,12 @@ class RegisterArray {
   }
 
  private:
+  struct Release {
+    void operator()(Register<T>* p) const noexcept { ::operator delete(p); }
+  };
+
   std::size_t size_;
-  std::unique_ptr<Register<T>[]> regs_;
+  std::unique_ptr<Register<T>[], Release> regs_;
 };
 
 }  // namespace renamelib

@@ -40,6 +40,13 @@
 // scans, and seizures cost paper-model steps and are schedulable (and
 // crashable) by the simulator's adversary; local serves are private-memory
 // reads, charged zero steps like any other local computation.
+//
+// Layout: no cache line is written by one pid while another pid reads it on
+// the hot path. Each pid's slot register and private state sit on lines of
+// their own; the configuration serve() reads on every call (options, mint,
+// the slot/pool/local pointers) is written only by the constructor; and the
+// meta-level counters written on refills (pool hint, refill count, pid
+// watermark) share one further line with nothing else.
 #pragma once
 
 #include <atomic>
@@ -140,28 +147,40 @@ class LeaseBroker {
     std::uint64_t dropped_ranges = 0;
   };
 
+  /// One pid's slot register, alone on its line: the holder's advance CAS
+  /// never invalidates a neighbour's slot or private state.
+  struct alignas(64) Slot {
+    Register<std::uint64_t> word;
+  };
+  static_assert(sizeof(Slot) == 64 && alignof(Slot) == 64,
+                "a lease slot fills exactly one cache line");
+
   std::uint64_t serve_slow(Ctx& ctx, Local& local);
   void refill(Ctx& ctx, int pid, Local& local);
   bool pool_pop(Ctx& ctx, std::uint64_t& entry);
   void pool_push(Ctx& ctx, std::uint64_t entry);
 
+  // Read-mostly: written by the constructor only, read on every serve().
   Options options_;
   Mint mint_;
-  std::unique_ptr<RegisterArray<std::uint64_t>> slots_;  ///< one per pid
-  std::unique_ptr<RegisterArray<std::uint64_t>> pool_;   ///< free ranges
-  /// Conservative pool-occupancy hint: bumped before a push, decremented
-  /// after a pop, so 0 proves the pool empty and a refill skips the scan.
-  /// Meta-level (zero steps), same status as a counting network's spray.
-  std::atomic<std::int64_t> pool_hint_{0};
+  std::unique_ptr<Slot[]> slots_;                       ///< one per pid
+  std::unique_ptr<RegisterArray<std::uint64_t>> pool_;  ///< free ranges
   /// Previous scan's observation per slot (meta-level reclaim heuristic;
   /// the seizure CAS itself is what arbitrates, so racy scans are safe).
   std::unique_ptr<std::atomic<std::uint64_t>[]> last_seen_;
+  std::unique_ptr<Local[]> local_;
+
+  // Written on refills: a line of their own, so a refill on one pid never
+  // invalidates the configuration another pid's serve() is reading.
+  /// Conservative pool-occupancy hint: bumped before a push, decremented
+  /// after a pop, so 0 proves the pool empty and a refill skips the scan.
+  /// Meta-level (zero steps), same status as a counting network's spray.
+  alignas(64) std::atomic<std::int64_t> pool_hint_{0};
   std::atomic<std::uint64_t> refill_count_{0};
   /// Highest pid that ever refilled: reclaim scans stop here instead of
   /// walking all `procs` slots (every lease passes through refill first, so
   /// no installed slot can hide above the watermark). Meta-level.
   std::atomic<int> max_pid_{-1};
-  std::unique_ptr<Local[]> local_;
 };
 
 }  // namespace renamelib::lease

@@ -1,6 +1,7 @@
 #include "renaming/moir_anderson.h"
 
 #include "core/assert.h"
+#include "core/lazy.h"
 
 namespace renamelib::renaming {
 
@@ -8,14 +9,21 @@ MoirAndersonRenaming::MoirAndersonRenaming(std::size_t max_processes)
     : side_(max_processes) {
   RENAMELIB_ENSURE(side_ >= 1, "need at least one process");
   // Triangle with rows of length side_, side_-1, ..., 1.
-  grid_ = std::make_unique<splitter::Splitter[]>(side_ * (side_ + 1) / 2);
+  rows_ = std::make_unique<std::atomic<splitter::Splitter*>[]>(side_);
+}
+
+MoirAndersonRenaming::~MoirAndersonRenaming() {
+  for (std::size_t r = 0; r < side_; ++r) {
+    delete[] rows_[r].load(std::memory_order_acquire);
+  }
 }
 
 splitter::Splitter& MoirAndersonRenaming::at(std::size_t row, std::size_t col) {
   RENAMELIB_ENSURE(row + col < side_, "grid coordinates out of the triangle");
-  // Row r starts after rows 0..r-1 of lengths side_, side_-1, ...
-  const std::size_t offset = row * side_ - row * (row - 1) / 2;
-  return grid_[offset + col];
+  splitter::Splitter* cells = publish_once_with(rows_[row], [&] {
+    return std::make_unique<splitter::Splitter[]>(side_ - row);
+  }).first;
+  return cells[col];
 }
 
 std::uint64_t MoirAndersonRenaming::name_of(std::size_t row,

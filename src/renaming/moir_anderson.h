@@ -12,6 +12,7 @@
 // in polylog steps. bench_baseline_comparison includes it.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <memory>
 
@@ -24,6 +25,9 @@ class MoirAndersonRenaming final : public IRenaming {
  public:
   /// Supports up to `max_processes` participants (grid side length).
   explicit MoirAndersonRenaming(std::size_t max_processes);
+  ~MoirAndersonRenaming() override;
+  MoirAndersonRenaming(const MoirAndersonRenaming&) = delete;
+  MoirAndersonRenaming& operator=(const MoirAndersonRenaming&) = delete;
 
   std::size_t max_processes() const noexcept { return side_; }
 
@@ -45,7 +49,10 @@ class MoirAndersonRenaming final : public IRenaming {
   splitter::Splitter& at(std::size_t row, std::size_t col);
 
   std::size_t side_;
-  std::unique_ptr<splitter::Splitter[]> grid_;  ///< triangle, row-major packed
+  /// One link per row of the triangle, filled on first touch with that
+  /// row's side_ - row splitters. A k-participant execution reaches at most
+  /// k rows, so a wide grid costs one pointer per row until a walk gets there.
+  std::unique_ptr<std::atomic<splitter::Splitter*>[]> rows_;
 };
 
 }  // namespace renamelib::renaming

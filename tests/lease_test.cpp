@@ -12,6 +12,7 @@
 #include <algorithm>
 #include <atomic>
 #include <set>
+#include <thread>
 #include <vector>
 
 #include "api/leases.h"
@@ -144,6 +145,41 @@ TEST(LeaseBroker, PoolOverflowDropsInsteadOfBlocking) {
   const auto s = broker.stats();
   EXPECT_EQ(s.reclaimed_ranges, 3u);
   EXPECT_EQ(s.dropped_ranges, 2u);
+}
+
+TEST(LeaseBroker, HardwareThreadsServeUniqueEscrowBoundedValues) {
+  // serve() from real threads, with in-line reclaim scans racing the
+  // holders' advances and refills: values stay unique and below
+  // ops + k*quota (the escrow consistency class's bound).
+  constexpr int kThreads = 4;
+  constexpr int kOpsPerThread = 50'000;
+  const auto counter =
+      Registry::global().make_counter("lease:inner=[striped]");
+  auto* adapter = dynamic_cast<api::LeasedCounterAdapter*>(counter.get());
+  ASSERT_NE(adapter, nullptr);
+  std::vector<std::vector<std::uint64_t>> values(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&counter, &values, t] {
+      Ctx ctx(t, 1000 + static_cast<std::uint64_t>(t));
+      values[t].reserve(kOpsPerThread);
+      for (int i = 0; i < kOpsPerThread; ++i) {
+        values[t].push_back(counter->next(ctx));
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+
+  const std::uint64_t ops = std::uint64_t{kThreads} * kOpsPerThread;
+  const std::uint64_t bound = ops + kThreads * adapter->impl().quota();
+  std::set<std::uint64_t> seen;
+  for (const auto& per_thread : values) {
+    for (const std::uint64_t v : per_thread) {
+      ASSERT_TRUE(seen.insert(v).second) << "duplicate value " << v;
+      ASSERT_LT(v, bound);
+    }
+  }
+  EXPECT_EQ(seen.size(), ops);
 }
 
 // --------------------------------------------------- kill-mid-refill suite ---

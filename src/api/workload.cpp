@@ -398,13 +398,16 @@ void Workload::execute(const std::function<void(Ctx&)>& body, std::mutex& mu,
 
 namespace {
 
-/// Proc-backend spec runner: creates the shm arena, places the
-/// registry-built object into it (ArenaScope routes every construction-time
-/// allocation there), runs, and destroys the object *before* the arena —
-/// the ordering the arena's wholesale deallocation requires.
+/// Proc-backend spec runner: refuses a spec that is not proc-safe, then
+/// creates the shm arena, places the registry-built object into it
+/// (ArenaScope routes every construction-time allocation there), runs, and
+/// destroys the object *before* the arena — the ordering the arena's
+/// wholesale deallocation requires.
 template <typename MakeFn>
-Run run_spec_in_arena(const Scenario& s, const MakeFn& make) {
-  Registry::global();  // materialize the lazy singleton outside the arena
+Run run_spec_in_arena(Facet facet, const std::string& spec, const Scenario& s,
+                      const MakeFn& make) {
+  // Also materializes the lazy registry singleton outside the arena.
+  Registry::global().check_proc_safe(facet, Spec::parse(spec));
   proc::ShmArena arena(proc::default_arena_bytes(s), s.seed);
   auto obj = [&] {
     proc::ArenaScope scope(arena);
@@ -419,8 +422,10 @@ Run run_spec_in_arena(const Scenario& s, const MakeFn& make) {
 
 Run Workload::run_facet_spec(Facet facet, const std::string& spec,
                              const Scenario& s) {
-  const auto run_made = [&s](const auto& make) {
-    if (s.backend == Backend::kProc) return run_spec_in_arena(s, make);
+  const auto run_made = [&](const auto& make) {
+    if (s.backend == Backend::kProc) {
+      return run_spec_in_arena(facet, spec, s, make);
+    }
     return Workload(s).run(*make());
   };
   const Registry& reg = Registry::global();

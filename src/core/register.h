@@ -9,6 +9,7 @@
 
 #include <atomic>
 #include <cstddef>
+#include <cstdint>
 #include <memory>
 #include <new>
 #include <type_traits>
@@ -83,6 +84,17 @@ class Register {
  private:
   std::atomic<T> value_;
 };
+
+/// A register alone on its 64-byte cache line. In an array of these, a write
+/// to one element never invalidates the line another process reads its
+/// neighbour from.
+template <typename T>
+struct alignas(64) PaddedRegister {
+  Register<T> reg;
+};
+static_assert(sizeof(PaddedRegister<std::uint64_t>) == 64 &&
+                  alignof(PaddedRegister<std::uint64_t>) == 64,
+              "a padded register fills exactly one cache line");
 
 /// Fixed-size array of registers (registers are not copyable/movable, so
 /// vector<Register<T>> does not work). Each register is constructed holding

@@ -47,7 +47,8 @@ LeaseBroker::LeaseBroker(Options options, Mint mint)
   }
   if (options_.window > options_.quota) options_.window = options_.quota;
   RENAMELIB_ENSURE(options_.pool_slots >= 1, "lease pool needs >= 1 slot");
-  slots_ = std::make_unique<Slot[]>(static_cast<std::size_t>(options_.procs));
+  slots_ = std::make_unique<PaddedRegister<std::uint64_t>[]>(
+      static_cast<std::size_t>(options_.procs));
   pool_ = std::make_unique<RegisterArray<std::uint64_t>>(options_.pool_slots,
                                                          kPoolEmpty);
   last_seen_ = std::make_unique<std::atomic<std::uint64_t>[]>(
@@ -81,7 +82,7 @@ std::uint64_t LeaseBroker::serve_slow(Ctx& ctx, Local& local) {
       std::uint64_t expected = w;
       const std::uint64_t desired =
           pack(epoch_of(w), ticket_of(w), capped, end_of(w));
-      if (slots_[pid].word.compare_exchange(ctx, expected, desired)) {
+      if (slots_[pid].reg.compare_exchange(ctx, expected, desired)) {
         local.word = desired;
         local.limit = static_cast<std::uint32_t>(capped);
         local.advances += 1;
@@ -111,7 +112,7 @@ void LeaseBroker::refill(Ctx& ctx, int pid, Local& local) {
   }
   // Re-read the slot: a seizure may have bumped the epoch past our cache,
   // and the install below must move strictly forward from whatever is there.
-  const std::uint64_t current = slots_[pid].word.load(ctx);
+  const std::uint64_t current = slots_[pid].reg.load(ctx);
   std::uint64_t ticket = 0, from = 0, to = 0;
   std::uint64_t entry = 0;
   if (pool_pop(ctx, entry)) {
@@ -139,7 +140,7 @@ void LeaseBroker::refill(Ctx& ctx, int pid, Local& local) {
   const std::uint64_t g = from + options_.window;
   const std::uint64_t capped = g > to ? to : g;
   const std::uint64_t word = pack(next_epoch(current), ticket, capped, to);
-  slots_[pid].word.store(ctx, word);
+  slots_[pid].reg.store(ctx, word);
   local.word = word;
   local.cursor = static_cast<std::uint32_t>(from);
   local.base = ticket * options_.quota;
@@ -184,7 +185,7 @@ std::size_t LeaseBroker::reclaim(Ctx& ctx) {
   // would only churn idle words.
   const int bound = max_pid_.load(std::memory_order_relaxed) + 1;
   for (int q = 0; q < bound; ++q) {
-    std::uint64_t w = slots_[q].word.load(ctx);
+    std::uint64_t w = slots_[q].reg.load(ctx);
     const std::uint64_t before =
         last_seen_[q].exchange(w, std::memory_order_relaxed);
     if (w == 0 || w != before) continue;  // idle, or made progress
@@ -192,7 +193,7 @@ std::size_t LeaseBroker::reclaim(Ctx& ctx) {
     const std::uint64_t revoked =
         pack(next_epoch(w), ticket_of(w), granted_of(w), granted_of(w));
     std::uint64_t expected = w;
-    if (!slots_[q].word.compare_exchange(ctx, expected, revoked)) {
+    if (!slots_[q].reg.compare_exchange(ctx, expected, revoked)) {
       continue;  // the holder advanced or refilled first — it is alive
     }
     // The ungranted tail [granted, end) of ticket_of(w) is now ours; escrow

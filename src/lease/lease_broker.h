@@ -147,14 +147,6 @@ class LeaseBroker {
     std::uint64_t dropped_ranges = 0;
   };
 
-  /// One pid's slot register, alone on its line: the holder's advance CAS
-  /// never invalidates a neighbour's slot or private state.
-  struct alignas(64) Slot {
-    Register<std::uint64_t> word;
-  };
-  static_assert(sizeof(Slot) == 64 && alignof(Slot) == 64,
-                "a lease slot fills exactly one cache line");
-
   std::uint64_t serve_slow(Ctx& ctx, Local& local);
   void refill(Ctx& ctx, int pid, Local& local);
   bool pool_pop(Ctx& ctx, std::uint64_t& entry);
@@ -163,7 +155,9 @@ class LeaseBroker {
   // Read-mostly: written by the constructor only, read on every serve().
   Options options_;
   Mint mint_;
-  std::unique_ptr<Slot[]> slots_;                       ///< one per pid
+  /// One slot register per pid, each alone on its line: the holder's
+  /// advance CAS never invalidates a neighbour's slot.
+  std::unique_ptr<PaddedRegister<std::uint64_t>[]> slots_;
   std::unique_ptr<RegisterArray<std::uint64_t>> pool_;  ///< free ranges
   /// Previous scan's observation per slot (meta-level reclaim heuristic;
   /// the seizure CAS itself is what arbitrates, so racy scans are safe).

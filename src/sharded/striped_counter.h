@@ -50,13 +50,9 @@ class StripedCounter {
   std::size_t stripes() const noexcept { return options_.stripes; }
 
  private:
-  /// One padded stripe; alignas keeps neighbours on distinct cache lines.
-  struct alignas(64) Slot {
-    Register<std::uint64_t> count{0};
-  };
-
   Options options_;
-  std::unique_ptr<Slot[]> slots_;
+  /// One stripe per cache line.
+  std::unique_ptr<PaddedRegister<std::uint64_t>[]> slots_;
   // Ticket dispenser for dispenser mode. Unlike a counting network's
   // entry-wire spray (where any wire distribution counts correctly), the
   // dense-prefix property REQUIRES exact round-robin tickets, so this is

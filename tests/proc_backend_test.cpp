@@ -7,10 +7,11 @@
 //   * event oracle — bitonic_countnet's balancer traversals are
 //     data-independent, so the gossip-merged kNetBalancer count must equal
 //     ops × depth exactly, for any process count,
-//   * conformance sweep — registered dispensers whose shared state is fully
-//     allocated at construction keep their facet predicates under
-//     backend=proc (structures that grow shared state mid-operation would
-//     silently degrade to private pages after fork and are excluded),
+//   * conformance sweep — every entry the registry declares proc_safe
+//     (shared state fully allocated at construction) keeps its facet
+//     predicate under backend=proc; specs that grow shared state
+//     mid-operation, whose later allocations would be private to one
+//     worker after fork, are refused before anything is forked,
 //   * kill-victim lease reclaim — a worker SIGKILLed at a seed-derived op
 //     count leaves survivors passing the unchanged churn predicates, and
 //     quiescent reclaim drains the victim's escrowed ranges to
@@ -21,6 +22,7 @@
 #include <map>
 #include <memory>
 #include <set>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -114,8 +116,22 @@ TEST(ProcBackend, GossipMergedEventsMatchTheBalancerOracle) {
   obs::EventBus::set_enabled(false);
 }
 
+/// Every entry of `entries` declared proc_safe, by name: the conformance
+/// sweeps check the registry's declarations against behaviour, so a lazy
+/// family declared proc-safe by mistake fails here.
+template <typename Info>
+std::vector<std::string> proc_safe_names(const std::vector<Info>& entries) {
+  std::vector<std::string> names;
+  for (const Info& e : entries) {
+    if (e.proc_safe) names.push_back(e.name);
+  }
+  return names;
+}
+
 TEST(ProcConformance, CountersStayDistinctUnderProc) {
-  for (const char* spec : {"atomic_fai", "striped"}) {
+  const auto specs = proc_safe_names(Registry::global().counters());
+  ASSERT_GE(specs.size(), 4u);
+  for (const std::string& spec : specs) {
     const Scenario s = proc_scenario(4, 32, 17);
     const api::Run run = Workload::run_facet_spec(Facet::kCounter, spec, s);
     EXPECT_EQ(run.metrics.ops, 128u) << spec;
@@ -129,9 +145,10 @@ TEST(ProcConformance, CountersStayDistinctUnderProc) {
 }
 
 TEST(ProcConformance, RenamingsStayUniqueUnderProc) {
-  for (const char* spec :
-       {"longlived:cap=64",
-        "lease:quota=4,procs=8,reclaim=0,inner=[longlived:cap=64]"}) {
+  auto specs = proc_safe_names(Registry::global().renamings());
+  ASSERT_GE(specs.size(), 3u);
+  specs.push_back("lease:quota=4,procs=8,reclaim=0,inner=[longlived:cap=64]");
+  for (const std::string& spec : specs) {
     const Scenario s = proc_scenario(4, 8, 23);
     const api::Run run = Workload::run_facet_spec(Facet::kRenaming, spec, s);
     EXPECT_EQ(run.ops.size(), 32u) << spec;
@@ -145,24 +162,55 @@ TEST(ProcConformance, RenamingsStayUniqueUnderProc) {
   }
 }
 
+TEST(ProcConformance, LazySpecsAreRefusedBeforeForking) {
+  // Rows, tree nodes and arbiters built on first touch would be private to
+  // the worker that built them. Such specs — nested ones included — are
+  // refused up front with the registry's error, not run into a fault.
+  const Scenario s = proc_scenario(4, 1, 7);
+  const struct {
+    Facet facet;
+    const char* spec;
+    const char* culprit;
+  } refused[] = {
+      {Facet::kRenaming, "moir_anderson:n=8", "moir_anderson:n=8"},
+      {Facet::kRenaming, "adaptive_strong", "adaptive_strong"},
+      {Facet::kRenaming, "linear_probe:tas=ratrace", "linear_probe"},
+      {Facet::kRenaming, "lease:inner=[moir_anderson]", "'moir_anderson'"},
+      {Facet::kCounter, "bounded_fai:m=64", "bounded_fai"},
+      {Facet::kReadable, "monotone", "monotone"},
+  };
+  for (const auto& r : refused) {
+    try {
+      Workload::run_facet_spec(r.facet, r.spec, s);
+      ADD_FAILURE() << r.spec << " ran on the proc backend";
+    } catch (const std::invalid_argument& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find(r.culprit), std::string::npos) << what;
+      EXPECT_NE(what.find("cannot run on the proc backend"), std::string::npos)
+          << what;
+    }
+  }
+  // The check itself accepts nested proc-safe specs.
+  EXPECT_NO_THROW(Registry::global().check_proc_safe(
+      Facet::kCounter, api::Spec::parse("lease:inner=[striped:stripes=8]")));
+}
+
 TEST(ProcConformance, ReadableMixKeepsItsKindsUnderProc) {
-  // "striped", not "monotone": the monotone counter's adaptive renaming
-  // grows shared nodes mid-operation, and memory a worker allocates after
-  // fork() is private to it — siblings chasing such a pointer fault. The
-  // sweep is restricted to construction-time-allocated structures (the
-  // documented proc-safety contract).
-  const Scenario s = proc_scenario(4, 30, 29);
-  const api::Run run =
-      Workload::run_facet_spec(Facet::kReadable, "striped", s);
-  EXPECT_EQ(run.ops.size(), 120u);
-  EXPECT_EQ(run.gossip_rounds, 3u);
-  // 2:1 inc/read mix (every third op reads): 20 incs + 10 reads per process,
-  // kinds round-tripped through the shared kind table.
-  EXPECT_EQ(run.values_of("inc").size(), 80u);
-  EXPECT_EQ(run.values_of("read").size(), 40u);
-  // Reads observe at most the total increments.
-  for (const std::uint64_t v : run.values_of("read")) {
-    EXPECT_LE(v, 80u);
+  const auto specs = proc_safe_names(Registry::global().readables());
+  ASSERT_GE(specs.size(), 3u);
+  for (const std::string& spec : specs) {
+    const Scenario s = proc_scenario(4, 30, 29);
+    const api::Run run = Workload::run_facet_spec(Facet::kReadable, spec, s);
+    EXPECT_EQ(run.ops.size(), 120u) << spec;
+    EXPECT_EQ(run.gossip_rounds, 3u) << spec;
+    // 2:1 inc/read mix (every third op reads): 20 incs + 10 reads per
+    // process, kinds round-tripped through the shared kind table.
+    EXPECT_EQ(run.values_of("inc").size(), 80u) << spec;
+    EXPECT_EQ(run.values_of("read").size(), 40u) << spec;
+    // Reads observe at most the total increments.
+    for (const std::uint64_t v : run.values_of("read")) {
+      EXPECT_LE(v, 80u) << spec;
+    }
   }
 }
 

@@ -19,11 +19,13 @@
 // share a chunk and so share cache lines.
 //
 // Every link is filled by publish_once, a component (one block sized at run
-// time) by its factory form publish_once_with; nothing is allocated before
-// the first get(). A chunk's claimed bit is set on the first get() of its
-// comparator (a relaxed load, then fetch_or only if clear), so census() is an
-// exact count of distinct comparators touched, summed by a quiescent walk.
-// Like core/lazy.h this is allocator bookkeeping, not a protocol step.
+// time) by its factory form publish_once_with, all from the NodePool the
+// index is given (core/node_pool.h); nothing is allocated before the first
+// get(), and nothing is freed before the pool releases its slabs. A chunk's
+// claimed bit is set on the first get() of its comparator (a relaxed load,
+// then fetch_or only if clear), so census() is an exact count of distinct
+// comparators touched, summed by a quiescent walk. Like core/lazy.h this is
+// allocator bookkeeping, not a protocol step.
 //
 // The 16/16 sizes are fixed, not knobs: the counting stack builds thousands
 // of small renamings that each touch a few (component, phase) pairs, and
@@ -44,32 +46,32 @@
 
 namespace renamelib::adaptive {
 
+/// `T` must own nothing outside the pool: arbiters are never destroyed.
 template <typename T>
 class ArbiterIndex {
  public:
-  ArbiterIndex() = default;
-  ~ArbiterIndex() {
-    for (auto& link : components_) delete link.load(std::memory_order_acquire);
-  }
+  /// An empty index whose blocks come from `pool`.
+  explicit ArbiterIndex(NodePool& pool) : pool_(pool) {}
   ArbiterIndex(const ArbiterIndex&) = delete;
   ArbiterIndex& operator=(const ArbiterIndex&) = delete;
 
-  /// The object for comparator `c`, built on first touch. Concurrent calls
-  /// for one comparator return one address, stable for the index's life.
-  T& get(const CompRef& c) {
+  /// The object for comparator `c`, built on first touch (`ctx` picks the
+  /// pool lane). Concurrent calls for one comparator return one address,
+  /// stable for the pool's life.
+  T& get(const Ctx& ctx, const CompRef& c) {
     RENAMELIB_ENSURE(c.component < CompRef::component_limit(),
                      "comparator component out of range");
     Component& comp = *publish_once_with(components_[c.component], [&] {
-                         return Component::make(c.component);
+                         return Component::make(ctx, pool_, c.component);
                        }).first;
     RENAMELIB_ENSURE(c.phase < comp.phases && (c.lo >> comp.lo_bits) == 0,
                      "comparator outside its component");
-    Page* page = publish_once(comp.roots()[c.phase]).first;
+    Page* page = publish_once(ctx, pool_, comp.roots()[c.phase]).first;
     const std::uint64_t chunk = c.lo >> kBits;
     for (int shift = kBits * (comp.depth - 1); shift > 0; shift -= kBits) {
-      page = publish_once<Page>(page->slot[(chunk >> shift) & kMask]).first;
+      page = publish_once<Page>(ctx, pool_, page->slot[(chunk >> shift) & kMask]).first;
     }
-    Chunk& leaf = *publish_once<Chunk>(page->slot[chunk & kMask]).first;
+    Chunk& leaf = *publish_once<Chunk>(ctx, pool_, page->slot[chunk & kMask]).first;
     const auto bit = static_cast<std::uint16_t>(1u << (c.lo & kMask));
     if ((leaf.claimed.load(std::memory_order_relaxed) & bit) == 0) {
       leaf.claimed.fetch_or(bit, std::memory_order_relaxed);
@@ -110,18 +112,17 @@ class ArbiterIndex {
 
   // One block: this header, then `phases` root links (a trailing array).
   struct alignas(std::atomic<Page*>) Component {
-    static std::unique_ptr<Component> make(std::uint32_t id) {
+    static Component* make(const Ctx& ctx, NodePool& pool, std::uint32_t id) {
       // S_0 is one comparator on wires 0-1; A_j/C_j are Batcher wings.
       const int stage = static_cast<int>((id + 1) / 2);
       const std::uint64_t width = id == 0 ? 2 : StageGeometry::sandwich_width(stage);
       const std::uint32_t phases =
           id == 0 ? 1 : AdaptiveNetwork::wing(stage).phase_count();
-      void* block =
-          ::operator new(sizeof(Component) + phases * sizeof(std::atomic<Page*>));
-      return std::unique_ptr<Component>(new (block) Component(width, phases));
+      void* block = pool.allocate(
+          ctx, sizeof(Component) + phases * sizeof(std::atomic<Page*>),
+          alignof(Component));
+      return ::new (block) Component(width, phases);
     }
-    // Frees the whole block; the sized global form would see only the header.
-    static void operator delete(void* block) { ::operator delete(block); }
 
     Component(std::uint64_t width, std::uint32_t phase_count) : phases(phase_count) {
       while (((width - 1) >> lo_bits) != 0) {
@@ -129,11 +130,6 @@ class ArbiterIndex {
         ++depth;
       }
       std::uninitialized_value_construct_n(roots(), phases);
-    }
-    ~Component() {
-      for (std::uint32_t p = 0; p < phases; ++p) {
-        release(roots()[p].load(std::memory_order_acquire), depth);
-      }
     }
     Component(const Component&) = delete;
     Component& operator=(const Component&) = delete;
@@ -166,20 +162,7 @@ class ArbiterIndex {
     }
   }
 
-  static void release(Page* page, int depth) {
-    if (page == nullptr) return;
-    for (auto& s : page->slot) {
-      Node* node = s.load(std::memory_order_acquire);
-      if (node == nullptr) continue;
-      if (depth > 1) {
-        release(static_cast<Page*>(node), depth - 1);
-      } else {
-        delete static_cast<Chunk*>(node);
-      }
-    }
-    delete page;
-  }
-
+  NodePool& pool_;
   std::array<std::atomic<Component*>, CompRef::component_limit()> components_{};
 };
 

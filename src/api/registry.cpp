@@ -354,10 +354,6 @@ lease::LeaseBroker::Options lease_options(const Spec& p) {
 }
 
 void register_builtins(Registry& r) {
-  // proc_safe is left false wherever some option value builds shared state
-  // on first touch (core/lazy.h): the adaptive structures, the Moir–Anderson
-  // grid's rows, and the RatRace trees behind linear_probe and bit_batching's
-  // tas=ratrace.
   // ------------------------------------------------------------ renamings
   r.add_renaming(RenamingInfo{
       .name = "adaptive_strong",
@@ -438,7 +434,6 @@ void register_builtins(Registry& r) {
       .max_requests = [](const Spec& p) {
         return static_cast<int>(p.get_u64("w", 32));
       },
-      .proc_safe = true,
       .make = [](const Spec& p) {
         const auto kind = p.get("tas", "rnd") == "rnd"
                               ? renaming::ComparatorKind::kRandomized
@@ -464,7 +459,6 @@ void register_builtins(Registry& r) {
         // Bounds *concurrent holders*: release recycles request budget.
         return static_cast<int>(p.get_u64("cap", 256));
       },
-      .proc_safe = true,
       .make = [](const Spec& p) -> std::unique_ptr<IRenaming> {
         return std::make_unique<LongLivedRenamingAdapter>(
             p.get_u64("cap", 256));
@@ -502,7 +496,6 @@ void register_builtins(Registry& r) {
               static_cast<std::uint64_t>(std::numeric_limits<int>::max());
           return static_cast<int>(total > cap ? cap : total);
         },
-        .proc_safe = true,
         .make = [](const Spec& p) -> std::unique_ptr<IRenaming> {
           const Spec inner = p.get_spec("inner", "longlived");
           return std::make_unique<LeasedRenamingAdapter>(
@@ -551,7 +544,6 @@ void register_builtins(Registry& r) {
                  "reference point",
       .consistency = Consistency::kLinearizable,
       .options = {},
-      .proc_safe = true,
       .make = [](const Spec&) -> std::unique_ptr<ICounter> {
         return std::make_unique<AtomicFaiCounter>();
       }});
@@ -563,7 +555,6 @@ void register_builtins(Registry& r) {
       .consistency = Consistency::kQuiescent,
       .options = {OptionSchema::u64("stripes", 64, 1, 4096,
                                     "cache-line-padded fetch&add stripes")},
-      .proc_safe = true,
       .make = [](const Spec& p) -> std::unique_ptr<ICounter> {
         sharded::StripedCounter::Options o;
         o.stripes = p.get_u64("stripes", 64);
@@ -576,7 +567,6 @@ void register_builtins(Registry& r) {
                  "consistent, step property on output wires",
       .consistency = Consistency::kQuiescent,
       .options = {OptionSchema::pow2_u64("w", 16, 2, 256, "network width")},
-      .proc_safe = true,
       .make = [](const Spec& p) -> std::unique_ptr<ICounter> {
         return std::make_unique<CountingNetworkCounter>(
             countnet::CountingNetwork::bitonic(p.get_u64("w", 16)));
@@ -594,7 +584,6 @@ void register_builtins(Registry& r) {
                    "crash-aware lease reclaim (inner= is a nested spec)",
         .consistency = Consistency::kEscrow,
         .options = std::move(options),
-        .proc_safe = true,
         .make = [](const Spec& p) -> std::unique_ptr<ICounter> {
           const Spec inner = p.get_spec("inner", "atomic_fai");
           return std::make_unique<LeasedCounterAdapter>(
@@ -627,7 +616,6 @@ void register_builtins(Registry& r) {
                                     "single-writer leaves (max processes)"),
                   OptionSchema::u64("cap", 1u << 16, 2, 1u << 20,
                                     "max register capacity (max count)")},
-      .proc_safe = true,
       .make = [](const Spec& p) -> std::unique_ptr<IReadableCounter> {
         return std::make_unique<MaxRegTreeCounterAdapter>(
             static_cast<std::size_t>(p.get_u64("n", 64)),
@@ -641,7 +629,6 @@ void register_builtins(Registry& r) {
       .consistency = Consistency::kMonotone,
       .options = {OptionSchema::u64("stripes", 64, 1, 4096,
                                     "cache-line-padded increment stripes")},
-      .proc_safe = true,
       .make = [](const Spec& p) -> std::unique_ptr<IReadableCounter> {
         sharded::StripedCounter::Options o;
         o.stripes = p.get_u64("stripes", 64);
@@ -655,7 +642,6 @@ void register_builtins(Registry& r) {
                  "read, exact at quiescence",
       .consistency = Consistency::kQuiescent,
       .options = {OptionSchema::pow2_u64("w", 16, 2, 256, "network width")},
-      .proc_safe = true,
       .make = [](const Spec& p) -> std::unique_ptr<IReadableCounter> {
         return std::make_unique<CountnetReadableAdapter>(
             countnet::CountingNetwork::bitonic(p.get_u64("w", 16)));
@@ -782,35 +768,6 @@ void Registry::validate(Facet facet, const Spec& spec) const {
     check_value(*found, value, facet, spec.name());
     if (found->type == OptionSchema::Type::kSpec) {
       validate(found->spec_facet, value.as_spec());
-    }
-  }
-}
-
-bool Registry::entry_proc_safe(Facet facet, std::string_view name) const {
-  switch (facet) {
-    case Facet::kCounter: return counters_.find(name)->proc_safe;
-    case Facet::kRenaming: return renamings_.find(name)->proc_safe;
-    case Facet::kReadable: return readables_.find(name)->proc_safe;
-  }
-  return false;
-}
-
-void Registry::check_proc_safe(Facet facet, const Spec& spec) const {
-  validate(facet, spec);
-  if (!entry_proc_safe(facet, spec.name())) {
-    std::vector<std::string> safe;
-    for (const auto& name : list(facet)) {
-      if (entry_proc_safe(facet, name)) safe.push_back(name);
-    }
-    throw std::invalid_argument(
-        std::string(facet_name(facet)) + " '" + spec.print() +
-        "' cannot run on the proc backend: it allocates shared state after "
-        "construction, and what a forked worker allocates is private to it "
-        "(proc-safe " + facet_name(facet) + "s: " + joined(safe) + ")");
-  }
-  for (const OptionSchema& o : schema_of(facet, spec.name())) {
-    if (o.type == OptionSchema::Type::kSpec) {
-      check_proc_safe(o.spec_facet, spec.get_spec(o.key, o.def));
     }
   }
 }

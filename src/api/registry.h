@@ -121,10 +121,6 @@ struct CounterInfo {
   std::string summary;                       ///< one-line description
   Consistency consistency = Consistency::kLinearizable;  ///< declared level
   std::vector<OptionSchema> options;         ///< typed option schemas
-  /// Every piece of shared state is allocated at construction, so the
-  /// object may run on Backend::kProc: memory a forked worker allocates
-  /// later is private to that worker, invisible to its siblings.
-  bool proc_safe = false;
   /// Factory: constructs the counter from a schema-validated spec.
   std::function<std::unique_ptr<ICounter>(const Spec&)> make;
 };
@@ -144,7 +140,6 @@ struct RenamingInfo {
   /// Max supported requests under these options (harnesses must not exceed;
   /// for reusable entries this bounds *concurrent holders*, not requests).
   std::function<int(const Spec&)> max_requests;
-  bool proc_safe = false;  ///< as CounterInfo::proc_safe
   /// Factory: constructs the facet object from a schema-validated spec.
   std::function<std::unique_ptr<IRenaming>(const Spec&)> make;
 };
@@ -156,7 +151,6 @@ struct ReadableInfo {
   std::string summary;                   ///< one-line description
   Consistency consistency = Consistency::kMonotone;  ///< declared level
   std::vector<OptionSchema> options;     ///< typed option schemas
-  bool proc_safe = false;  ///< as CounterInfo::proc_safe
   /// Factory: constructs the readable counter from a schema-validated spec.
   std::function<std::unique_ptr<IReadableCounter>(const Spec&)> make;
 };
@@ -237,11 +231,6 @@ class Registry {
   /// for nested spec options.
   void validate(Facet facet, const Spec& spec) const;
 
-  /// Throws std::invalid_argument unless `spec` may run on Backend::kProc:
-  /// its entry, and the entry of every nested spec option (given or
-  /// defaulted), must be declared proc_safe. Validates `spec` first.
-  void check_proc_safe(Facet facet, const Spec& spec) const;
-
   /// validate() + canonical printing: the stable identifier reports and
   /// bench_compare.py match runs by.
   std::string canonical(Facet facet, const std::string& spec) const;
@@ -290,8 +279,6 @@ class Registry {
   /// Schema of `spec.name()` under `facet`; throws the unknown-name error.
   const std::vector<OptionSchema>& schema_of(Facet facet,
                                              std::string_view name) const;
-  /// proc_safe of the entry `name` under `facet` (which must exist).
-  bool entry_proc_safe(Facet facet, std::string_view name) const;
 
   FacetTable<CounterInfo> counters_;
   FacetTable<RenamingInfo> renamings_;

@@ -398,16 +398,18 @@ void Workload::execute(const std::function<void(Ctx&)>& body, std::mutex& mu,
 
 namespace {
 
-/// Proc-backend spec runner: refuses a spec that is not proc-safe, then
-/// creates the shm arena, places the registry-built object into it
-/// (ArenaScope routes every construction-time allocation there), runs, and
-/// destroys the object *before* the arena — the ordering the arena's
-/// wholesale deallocation requires.
+/// Proc-backend spec runner: validates the spec, then creates the shm
+/// arena, places the registry-built object into it (ArenaScope routes every
+/// construction-time allocation there, and the object's NodePool keeps
+/// drawing its lazily built nodes from it), runs, and destroys the object
+/// *before* the arena — the ordering the arena's wholesale deallocation
+/// requires.
 template <typename MakeFn>
 Run run_spec_in_arena(Facet facet, const std::string& spec, const Scenario& s,
                       const MakeFn& make) {
-  // Also materializes the lazy registry singleton outside the arena.
-  Registry::global().check_proc_safe(facet, Spec::parse(spec));
+  // Throws on a bad spec before the arena exists, and materializes the lazy
+  // registry singleton outside it.
+  Registry::global().validate(facet, Spec::parse(spec));
   proc::ShmArena arena(proc::default_arena_bytes(s), s.seed);
   auto obj = [&] {
     proc::ArenaScope scope(arena);

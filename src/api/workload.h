@@ -211,9 +211,8 @@ class Workload {
   /// Constructs `spec` under `facet` from the global registry and runs the
   /// facet's standard workload (counters: next(); renamings: hold-all
   /// acquires; readables: the read_period inc/read mix). On the proc backend
-  /// the object is placed in the shared-memory arena first, and a spec that
-  /// is not proc-safe (Registry::check_proc_safe) throws
-  /// std::invalid_argument before anything is forked.
+  /// the object is placed in the shared-memory arena first; an invalid spec
+  /// throws std::invalid_argument before the arena is made.
   static Run run_facet_spec(Facet facet, const std::string& spec,
                             const Scenario& s);
 

@@ -16,6 +16,7 @@
 
 #include "core/assert.h"
 #include "core/ctx.h"
+#include "core/node_pool.h"
 #include "obs/emit.h"
 
 namespace renamelib {
@@ -105,12 +106,14 @@ class RegisterArray {
                 "the storage is released without running destructors");
 
  public:
+  /// `n` registers on the heap (or in the scoped arena).
   explicit RegisterArray(std::size_t n, T initial = T{})
-      : size_(n),
-        regs_(static_cast<Register<T>*>(
-            ::operator new(n * sizeof(Register<T>)))) {
-    for (std::size_t i = 0; i < n; ++i) new (&regs_[i]) Register<T>(initial);
-  }
+      : RegisterArray(n, initial, ::operator new(n * sizeof(Register<T>)), true) {}
+  /// `n` (>= 1) registers in `pool`, released with it; `ctx` picks the lane.
+  RegisterArray(NodePool& pool, const Ctx& ctx, std::size_t n, T initial = T{})
+      : RegisterArray(n, initial,
+                      pool.allocate(ctx, n * sizeof(Register<T>), alignof(Register<T>)),
+                      false) {}
 
   std::size_t size() const noexcept { return size_; }
 
@@ -124,8 +127,16 @@ class RegisterArray {
   }
 
  private:
+  RegisterArray(std::size_t n, T initial, void* storage, bool owned)
+      : size_(n), regs_(static_cast<Register<T>*>(storage), Release{owned}) {
+    for (std::size_t i = 0; i < n; ++i) new (&regs_[i]) Register<T>(initial);
+  }
+
   struct Release {
-    void operator()(Register<T>* p) const noexcept { ::operator delete(p); }
+    bool owned;  ///< false: the storage belongs to a NodePool
+    void operator()(Register<T>* p) const noexcept {
+      if (owned) ::operator delete(p);
+    }
   };
 
   std::size_t size_;

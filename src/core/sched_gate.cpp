@@ -5,6 +5,7 @@
 
 #include <cstdint>
 #include <utility>
+#include <vector>
 
 #include "core/assert.h"
 #include "obs/emit.h"
@@ -23,19 +24,58 @@ namespace renamelib {
 
 namespace {
 const std::size_t kGuard = static_cast<std::size_t>(sysconf(_SC_PAGESIZE));
+
+/// The guarded stacks of finished processes, kept for the next processes
+/// this thread simulates: an exploration runs thousands of short
+/// executions, and each would otherwise map, protect and unmap one stack
+/// per process. A stack's contents are never read before they are written,
+/// so reuse changes no execution.
+class StackPool {
+ public:
+  StackPool() = default;
+  StackPool(const StackPool&) = delete;
+  StackPool& operator=(const StackPool&) = delete;
+  ~StackPool() {
+    for (char* mapping : free_) munmap(mapping, kGuard + SchedGate::kStackSize);
+  }
+
+  /// A guard page, then kStackSize of stack.
+  char* take() {
+    if (!free_.empty()) {
+      char* mapping = free_.back();
+      free_.pop_back();
+      return mapping;
+    }
+    void* mapping = mmap(nullptr, kGuard + SchedGate::kStackSize,
+                         PROT_READ | PROT_WRITE,
+                         MAP_PRIVATE | MAP_ANONYMOUS | MAP_STACK, -1, 0);
+    // The stack grows down: an overflow faults on the guard page instead of
+    // writing into the neighbouring mapping.
+    RENAMELIB_ENSURE(mapping != MAP_FAILED && mprotect(mapping, kGuard, PROT_NONE) == 0,
+                     "cannot set up a process stack");
+    return static_cast<char*>(mapping);
+  }
+
+  void give(char* mapping) {
+    if (free_.size() < kKept) {
+      free_.push_back(mapping);
+    } else {
+      munmap(mapping, kGuard + SchedGate::kStackSize);
+    }
+  }
+
+ private:
+  static constexpr std::size_t kKept = 256;  ///< stacks kept per thread
+  std::vector<char*> free_;
+};
+
+thread_local StackPool t_stacks;
+
 }  // namespace
 
 SchedGate::SchedGate(int pid, std::function<void()> body)
-    : pid_(pid), body_(std::move(body)) {
-  void* mapping = mmap(nullptr, kGuard + kStackSize, PROT_READ | PROT_WRITE,
-                       MAP_PRIVATE | MAP_ANONYMOUS | MAP_STACK, -1, 0);
-  // The stack grows down: an overflow faults on the guard page instead of
-  // writing into the neighbouring mapping.
-  RENAMELIB_ENSURE(mapping != MAP_FAILED &&
-                       mprotect(mapping, kGuard, PROT_NONE) == 0 &&
-                       getcontext(&self_.context) == 0,
-                   "cannot set up a process stack");
-  mapping_ = static_cast<char*>(mapping);
+    : pid_(pid), body_(std::move(body)), mapping_(t_stacks.take()) {
+  RENAMELIB_ENSURE(getcontext(&self_.context) == 0, "cannot set up a process stack");
   self_.stack = self_.context.uc_stack.ss_sp = mapping_ + kGuard;
   self_.stack_size = self_.context.uc_stack.ss_size = kStackSize;
   // makecontext passes int arguments only: split `this` into two halves.
@@ -51,7 +91,7 @@ SchedGate::~SchedGate() {
 #ifdef __SANITIZE_THREAD__
   __tsan_destroy_fiber(self_.tsan);
 #endif
-  munmap(mapping_, kGuard + kStackSize);
+  t_stacks.give(mapping_);
 }
 
 void SchedGate::entry(unsigned hi, unsigned lo) noexcept {

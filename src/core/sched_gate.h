@@ -91,7 +91,7 @@ class SchedGate {
   State state_ = State::kRunning;
   bool killed_ = false;
   StepInfo info_{};
-  char* mapping_ = nullptr;  ///< guard page, then kStackSize of stack
+  char* mapping_ = nullptr;  ///< guard page, then kStackSize of stack (pooled)
   Fiber self_;
   Fiber scheduler_;
 };

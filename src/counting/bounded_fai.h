@@ -9,7 +9,9 @@
 //
 // Theorem 6: linearizable, O(log k log m) steps in expectation. Internal
 // nodes (each containing a full adaptive renaming object) are materialized
-// on first touch, so memory is proportional to the values handed out.
+// on first touch, so memory is proportional to the values handed out. The
+// root is held inline and every node's renaming borrows the object's one
+// NodePool, so construction allocates nothing.
 #pragma once
 
 #include <atomic>
@@ -27,6 +29,9 @@ class BoundedFetchAndIncrement {
       : BoundedFetchAndIncrement(m, renaming::AdaptiveStrongRenaming::Options{}) {}
   BoundedFetchAndIncrement(std::uint64_t m,
                            renaming::AdaptiveStrongRenaming::Options options);
+  /// An object whose nodes come from `pool`, an enclosing object's.
+  BoundedFetchAndIncrement(NodePool& pool, std::uint64_t m,
+                           renaming::AdaptiveStrongRenaming::Options options);
   std::uint64_t m() const noexcept { return m_; }
 
   /// Returns the next counter value (0, 1, 2, ..., saturating at m-1).
@@ -35,18 +40,23 @@ class BoundedFetchAndIncrement {
   /// Nodes materialized so far (quiescent diagnostic).
   std::size_t materialized_nodes() const noexcept { return nodes_.size(); }
 
+  const NodePool& pool() const noexcept { return pool_; }
+
  private:
   struct Node {
-    explicit Node(std::uint64_t l,
-                  const renaming::AdaptiveStrongRenaming::Options& options)
-        : test(l / 2, options) {}
+    Node(NodePool& pool, std::uint64_t l,
+         const renaming::AdaptiveStrongRenaming::Options& options)
+        : test(pool, l / 2, options) {}
     LTestAndSet test;  ///< l/2-test-and-set for an l-valued node
     std::atomic<Node*> child[2] = {nullptr, nullptr};
   };
 
+  static std::uint64_t checked(std::uint64_t m);
+
   std::uint64_t m_;
   renaming::AdaptiveStrongRenaming::Options options_;
-  LazyTree<Node> nodes_;
+  NodePool pool_;
+  LazyTree<Node> nodes_{pool_, pool_, m_, options_};
 };
 
 }  // namespace renamelib::counting

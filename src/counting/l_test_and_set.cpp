@@ -6,6 +6,10 @@ LTestAndSet::LTestAndSet(std::uint64_t l,
                          renaming::AdaptiveStrongRenaming::Options options)
     : l_(l), renaming_(options) {}
 
+LTestAndSet::LTestAndSet(NodePool& pool, std::uint64_t l,
+                         renaming::AdaptiveStrongRenaming::Options options)
+    : l_(l), renaming_(pool, options) {}
+
 bool LTestAndSet::test_and_set(Ctx& ctx) {
   LabelScope label{ctx, "l_tas/op"};
   if (l_ == 0) return false;  // 0 winners: trivially closed

@@ -21,6 +21,10 @@ class LTestAndSet {
       : LTestAndSet(l, renaming::AdaptiveStrongRenaming::Options{}) {}
   LTestAndSet(std::uint64_t l,
               renaming::AdaptiveStrongRenaming::Options options);
+  /// An object whose renaming draws its nodes from `pool`, an enclosing
+  /// object's.
+  LTestAndSet(NodePool& pool, std::uint64_t l,
+              renaming::AdaptiveStrongRenaming::Options options);
 
   std::uint64_t l() const noexcept { return l_; }
 

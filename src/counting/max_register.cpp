@@ -6,13 +6,21 @@
 
 namespace renamelib::counting {
 
-MaxRegister::MaxRegister(std::uint64_t capacity)
-    : capacity_(std::bit_ceil(std::max<std::uint64_t>(capacity, 2))),
-      height_(static_cast<std::uint32_t>(std::countr_zero(capacity_))),
-      switches_(capacity_ - 1, 0) {
+std::uint64_t MaxRegister::rounded(std::uint64_t capacity) {
   RENAMELIB_ENSURE(capacity >= 1 && capacity <= (1ULL << 26),
                    "max register capacity out of range (switch tree memory)");
+  return std::bit_ceil(std::max<std::uint64_t>(capacity, 2));
 }
+
+MaxRegister::MaxRegister(std::uint64_t capacity)
+    : capacity_(rounded(capacity)),
+      height_(static_cast<std::uint32_t>(std::countr_zero(capacity_))),
+      switches_(capacity_ - 1, 0) {}
+
+MaxRegister::MaxRegister(NodePool& pool, const Ctx& ctx, std::uint64_t capacity)
+    : capacity_(rounded(capacity)),
+      height_(static_cast<std::uint32_t>(std::countr_zero(capacity_))),
+      switches_(pool, ctx, capacity_ - 1, 0) {}
 
 void MaxRegister::write_max(Ctx& ctx, std::uint64_t v) {
   RENAMELIB_ENSURE(v < capacity_, "value exceeds max register capacity");
@@ -51,10 +59,10 @@ std::uint64_t MaxRegister::read(Ctx& ctx) {
   return value;
 }
 
-MaxRegister& UnboundedMaxRegister::bucket(std::uint32_t b) {
+MaxRegister& UnboundedMaxRegister::bucket(const Ctx& ctx, std::uint32_t b) {
   RENAMELIB_ENSURE(b >= 1 && b < kMaxBits, "value too large for max register");
   // Bucket b holds values with bit length b+1, i.e. offsets in [0, 2^b).
-  return buckets_.get(b, 1ULL << b);
+  return buckets_.get(ctx, b, pool_, ctx, 1ULL << b);
 }
 
 void UnboundedMaxRegister::write_max(Ctx& ctx, std::uint64_t v) {
@@ -63,7 +71,7 @@ void UnboundedMaxRegister::write_max(Ctx& ctx, std::uint64_t v) {
   const std::uint32_t b = static_cast<std::uint32_t>(std::bit_width(v) - 1);
   // Bucket offset first, top index second: a reader that observes bucket b
   // active will find this value (or a larger one) already in the bucket.
-  if (b > 0) bucket(b).write_max(ctx, v - (1ULL << b));
+  if (b > 0) bucket(ctx, b).write_max(ctx, v - (1ULL << b));
   top_.write_max(ctx, b + 1);
 }
 
@@ -73,7 +81,7 @@ std::uint64_t UnboundedMaxRegister::read(Ctx& ctx) {
   if (t == 0) return 0;
   const std::uint32_t b = static_cast<std::uint32_t>(t - 1);
   const std::uint64_t base = 1ULL << b;
-  return b == 0 ? base : base + bucket(b).read(ctx);
+  return b == 0 ? base : base + bucket(ctx, b).read(ctx);
 }
 
 }  // namespace renamelib::counting

@@ -21,6 +21,9 @@ namespace renamelib::counting {
 class MaxRegister {
  public:
   explicit MaxRegister(std::uint64_t capacity);
+  /// A register whose switch bits come from `pool` (`ctx` picks the lane;
+  /// not a step).
+  MaxRegister(NodePool& pool, const Ctx& ctx, std::uint64_t capacity);
 
   std::uint64_t capacity() const noexcept { return capacity_; }
 
@@ -32,6 +35,8 @@ class MaxRegister {
   std::uint64_t read(Ctx& ctx);
 
  private:
+  static std::uint64_t rounded(std::uint64_t capacity);
+
   /// Heap index of the node at `level` on the root-to-leaf path of `v`.
   std::uint64_t path_node(std::uint64_t v, std::uint32_t level) const noexcept {
     return (1ULL << level) | (v >> (height_ - level));
@@ -53,6 +58,8 @@ class MaxRegister {
 class UnboundedMaxRegister {
  public:
   UnboundedMaxRegister() = default;
+  /// A register whose buckets come from `pool`, an enclosing object's.
+  explicit UnboundedMaxRegister(NodePool& pool) : pool_(pool) {}
 
   void write_max(Ctx& ctx, std::uint64_t v);
   std::uint64_t read(Ctx& ctx);
@@ -60,11 +67,13 @@ class UnboundedMaxRegister {
   static constexpr std::uint32_t kMaxBits = 26;
 
  private:
-  MaxRegister& bucket(std::uint32_t b);
+  MaxRegister& bucket(const Ctx& ctx, std::uint32_t b);
 
   MaxRegister top_{kMaxBits + 2};  ///< holds 1 + highest active bucket index
-  /// CAS-published on first touch (allocator-level, not a protocol step).
-  LazyArray<MaxRegister, kMaxBits> buckets_;
+  /// CAS-published on first touch in pool_ (allocator-level, not a protocol
+  /// step).
+  NodePool pool_;
+  LazyArray<MaxRegister, kMaxBits> buckets_{pool_};
 };
 
 }  // namespace renamelib::counting

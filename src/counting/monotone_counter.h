@@ -23,7 +23,7 @@ class MonotoneCounter {
   /// Variant with explicit renaming options (e.g. hardware comparators for
   /// the deterministic mode of Sec. 1's Discussion).
   explicit MonotoneCounter(renaming::AdaptiveStrongRenaming::Options options)
-      : renaming_(options) {}
+      : renaming_(pool_, options) {}
 
   /// Increments the counter. Multiple increments per process are supported:
   /// each operation mints a fresh identity (ctx.mint_token()).
@@ -39,8 +39,9 @@ class MonotoneCounter {
   IncrementStats increment_instrumented(Ctx& ctx);
 
  private:
-  renaming::AdaptiveStrongRenaming renaming_;
-  UnboundedMaxRegister max_;
+  NodePool pool_;  ///< shared by the renaming and the max register
+  renaming::AdaptiveStrongRenaming renaming_{pool_, {}};
+  UnboundedMaxRegister max_{pool_};
 };
 
 }  // namespace renamelib::counting

@@ -18,9 +18,9 @@ std::uint64_t UnboundedFetchAndIncrement::base_of(std::uint64_t e) {
 }
 
 BoundedFetchAndIncrement& UnboundedFetchAndIncrement::epoch_object(
-    std::uint64_t e) {
+    const Ctx& ctx, std::uint64_t e) {
   RENAMELIB_ENSURE(e < kMaxEpochs, "epoch overflow (2^43 increments?)");
-  return epochs_.get(e, capacity_of(e), options_);
+  return epochs_.get(ctx, e, pool_, capacity_of(e), options_);
 }
 
 std::uint64_t UnboundedFetchAndIncrement::fetch_and_increment(Ctx& ctx) {
@@ -28,7 +28,7 @@ std::uint64_t UnboundedFetchAndIncrement::fetch_and_increment(Ctx& ctx) {
   for (;;) {
     const std::uint64_t e = epoch_.load(ctx);
     const std::uint64_t m = capacity_of(e);
-    const std::uint64_t v = epoch_object(e).fetch_and_increment(ctx);
+    const std::uint64_t v = epoch_object(ctx, e).fetch_and_increment(ctx);
     if (v < m - 1) return base_of(e) + v;
     // Saturated epoch: the unique winner of the advancing CAS claims the
     // epoch's final value; everyone else retries in the next epoch.

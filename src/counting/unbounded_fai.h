@@ -41,7 +41,7 @@ class UnboundedFetchAndIncrement {
   static constexpr std::uint64_t kFirstCapacity = 8;
   static constexpr std::uint32_t kMaxEpochs = 40;
 
-  BoundedFetchAndIncrement& epoch_object(std::uint64_t e);
+  BoundedFetchAndIncrement& epoch_object(const Ctx& ctx, std::uint64_t e);
   static std::uint64_t capacity_of(std::uint64_t e);
   static std::uint64_t base_of(std::uint64_t e);
 
@@ -49,8 +49,10 @@ class UnboundedFetchAndIncrement {
   Register<std::uint64_t> epoch_{0};
   // Lock-free epoch table: each epoch object is CAS-published on first touch
   // (allocator-level bookkeeping, like the paper's assumption of pre-existing
-  // objects; the protocol's own steps all go through Register/Ctx).
-  LazyArray<BoundedFetchAndIncrement, kMaxEpochs> epochs_;
+  // objects; the protocol's own steps all go through Register/Ctx). Every
+  // epoch borrows pool_.
+  NodePool pool_;
+  LazyArray<BoundedFetchAndIncrement, kMaxEpochs> epochs_{pool_};
 };
 
 }  // namespace renamelib::counting

@@ -226,6 +226,8 @@ ShmArena* ShmArena::current() noexcept {
   return d > 0 ? g_stack[d - 1].load(std::memory_order_acquire) : nullptr;
 }
 
+ShmArena* ShmArena::in_scope() noexcept { return tl_active; }
+
 ArenaScope::ArenaScope(ShmArena& arena) : saved_(tl_active) {
   // Materialize lazily-constructed obs singletons in private memory before
   // any allocation can be routed into the (mortal) arena.

@@ -15,7 +15,10 @@
 /// inherit the mapping at the same address, so vtable pointers and interior
 /// pointers stay valid in every process; the structures themselves are flat
 /// std::atomic words (lock-free ⇒ address-free per [atomics.lockfree]), so
-/// the cross-process semantics are the ones the paper assumes.
+/// the cross-process semantics are the ones the paper assumes. What an
+/// object builds later, mid-operation in a forked worker, comes from its
+/// NodePool (core/node_pool.h), which captured the arena in scope at
+/// construction and keeps allocating from it.
 ///
 /// Lifecycle discipline (the part that keeps /dev/shm clean):
 ///   * names are uniquified by pid + caller tag + a process-local counter,
@@ -83,6 +86,10 @@ class ShmArena {
   /// The most recently constructed still-live arena (nullptr outside a proc
   /// run). The proc backend lays its mailboxes/gossip region out here.
   static ShmArena* current() noexcept;
+
+  /// The arena the calling thread's innermost ArenaScope routes into, or
+  /// nullptr outside every scope. A NodePool captures it at construction.
+  static ShmArena* in_scope() noexcept;
 
  private:
   std::string name_;

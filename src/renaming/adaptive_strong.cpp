@@ -17,19 +17,28 @@ bool compete(Ctx& ctx, tas::HardwareTas& arbiter, bool /*entered_lo*/) {
 }  // namespace
 
 AdaptiveStrongRenaming::Arbiters AdaptiveStrongRenaming::make_arbiters(
-    AdaptiveComparatorKind kind) {
+    AdaptiveComparatorKind kind, NodePool& pool) {
   if (kind == AdaptiveComparatorKind::kHardware) {
-    return Arbiters(std::in_place_index<1>);
+    return Arbiters(std::in_place_index<1>, pool);
   }
-  return Arbiters(std::in_place_index<0>);
+  return Arbiters(std::in_place_index<0>, pool);
+}
+
+AdaptiveStrongRenaming::Options AdaptiveStrongRenaming::checked(Options options) {
+  RENAMELIB_ENSURE(options.max_temp_name >= 2 &&
+                       options.max_temp_name <= (1ULL << 31),
+                   "max_temp_name must be in [2, 2^31]");
+  return options;
 }
 
 AdaptiveStrongRenaming::AdaptiveStrongRenaming(Options options)
-    : options_(options), arbiters_(make_arbiters(options.comparators)) {
-  RENAMELIB_ENSURE(options_.max_temp_name >= 2 &&
-                       options_.max_temp_name <= (1ULL << 31),
-                   "max_temp_name must be in [2, 2^31]");
-}
+    : options_(checked(options)),
+      arbiters_(make_arbiters(options.comparators, pool_)) {}
+
+AdaptiveStrongRenaming::AdaptiveStrongRenaming(NodePool& pool, Options options)
+    : options_(checked(options)),
+      pool_(pool),
+      arbiters_(make_arbiters(options.comparators, pool_)) {}
 
 AdaptiveStrongRenaming::Outcome AdaptiveStrongRenaming::rename_instrumented(
     Ctx& ctx, std::uint64_t initial_id) {
@@ -54,7 +63,7 @@ AdaptiveStrongRenaming::Outcome AdaptiveStrongRenaming::rename_instrumented(
         return network_.route(
             out.temp_name, [&](const adaptive::CompRef& comp, bool entered_lo) {
               ++out.comparators;
-              return compete(ctx, arbiters.get(comp), entered_lo);
+              return compete(ctx, arbiters.get(ctx, comp), entered_lo);
             });
       },
       arbiters_);

@@ -18,7 +18,8 @@
 // by direct indexing on the comparator's canonical identity (component,
 // phase, lo wire; adaptive/arbiter_index.h), so the object's memory footprint
 // is proportional to what executions actually visit, not to the
-// (astronomical) network size.
+// (astronomical) network size. Arbiters and splitter-tree nodes come from one
+// NodePool (core/node_pool.h): the object's own, or an enclosing object's.
 #pragma once
 
 #include <cstdint>
@@ -47,6 +48,8 @@ class AdaptiveStrongRenaming final : public IRenaming {
 
   AdaptiveStrongRenaming() : AdaptiveStrongRenaming(Options{}) {}
   explicit AdaptiveStrongRenaming(Options options);
+  /// An object whose nodes come from `pool`, an enclosing object's.
+  AdaptiveStrongRenaming(NodePool& pool, Options options);
 
   /// Acquires a name in 1..k (k = total requests so far, adaptively).
   std::uint64_t rename(Ctx& ctx, std::uint64_t initial_id) override;
@@ -63,10 +66,14 @@ class AdaptiveStrongRenaming final : public IRenaming {
   std::size_t materialized_comparators() const;
 
   const adaptive::AdaptiveNetwork& network() const noexcept { return network_; }
+  const NodePool& pool() const noexcept { return pool_; }
 
  private:
+  static Options checked(Options options);
+
   Options options_;
-  splitter::TempName temp_name_;
+  NodePool pool_;
+  splitter::TempName temp_name_{pool_};
   adaptive::AdaptiveNetwork network_;
   // Arbiters live inline in chunks of a lock-free index over CompRef, built
   // on first touch: allocator-level bookkeeping standing in for the paper's
@@ -75,7 +82,7 @@ class AdaptiveStrongRenaming final : public IRenaming {
   // thousands of these objects, so the other would be pure setup cost.
   using Arbiters = std::variant<adaptive::ArbiterIndex<tas::TwoProcessTas>,
                                 adaptive::ArbiterIndex<tas::HardwareTas>>;
-  static Arbiters make_arbiters(AdaptiveComparatorKind kind);
+  static Arbiters make_arbiters(AdaptiveComparatorKind kind, NodePool& pool);
   Arbiters arbiters_;
 };
 

@@ -26,10 +26,7 @@ BitBatching::BitBatching(std::uint64_t n, SlotTasKind kind)
   probes_per_batch_ = 3 * logn;
 
   if (kind_ == SlotTasKind::kRatRace) {
-    ratrace_slots_.reserve(n);
-    for (std::uint64_t i = 0; i < n; ++i) {
-      ratrace_slots_.push_back(std::make_unique<tas::RatRaceTas>());
-    }
+    for (std::uint64_t i = 0; i < n; ++i) ratrace_slots_.emplace_back(pool_);
   } else {
     hardware_slots_ = std::make_unique<tas::HardwareTas[]>(n);
   }
@@ -48,7 +45,7 @@ std::uint64_t BitBatching::batch_end(std::size_t i) const {
 
 bool BitBatching::probe(Ctx& ctx, std::uint64_t slot) {
   if (kind_ == SlotTasKind::kRatRace) {
-    return ratrace_slots_[slot]->test_and_set(ctx);
+    return ratrace_slots_[slot].test_and_set(ctx);
   }
   return hardware_slots_[slot].test_and_set(ctx);
 }

@@ -16,8 +16,8 @@
 #pragma once
 
 #include <cstdint>
+#include <deque>
 #include <memory>
-#include <vector>
 
 #include "renaming/renaming.h"
 #include "tas/hardware_tas.h"
@@ -59,7 +59,8 @@ class BitBatching final : public IRenaming {
   std::size_t ell_;
   std::uint64_t probes_per_batch_;  ///< 3*ceil(log2 n)
   SlotTasKind kind_;
-  std::vector<std::unique_ptr<tas::RatRaceTas>> ratrace_slots_;
+  NodePool pool_;  ///< every RatRace slot's tree nodes
+  std::deque<tas::RatRaceTas> ratrace_slots_;
   std::unique_ptr<tas::HardwareTas[]> hardware_slots_;
 };
 

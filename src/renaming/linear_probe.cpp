@@ -10,10 +10,7 @@ LinearProbeRenaming::LinearProbeRenaming(std::uint64_t capacity, bool hardware_t
   if (hardware_) {
     hw_slots_ = std::make_unique<tas::HardwareTas[]>(capacity);
   } else {
-    rr_slots_.reserve(capacity);
-    for (std::uint64_t i = 0; i < capacity; ++i) {
-      rr_slots_.push_back(std::make_unique<tas::RatRaceTas>());
-    }
+    for (std::uint64_t i = 0; i < capacity; ++i) rr_slots_.emplace_back(pool_);
   }
 }
 
@@ -23,7 +20,7 @@ LinearProbeRenaming::Outcome LinearProbeRenaming::rename_instrumented(Ctx& ctx) 
   for (std::uint64_t slot = 0; slot < capacity_; ++slot) {
     ++out.probes;
     const bool won = hardware_ ? hw_slots_[slot].test_and_set(ctx)
-                               : rr_slots_[slot]->test_and_set(ctx);
+                               : rr_slots_[slot].test_and_set(ctx);
     if (won) {
       out.name = slot + 1;
       return out;

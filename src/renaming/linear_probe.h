@@ -5,8 +5,8 @@
 #pragma once
 
 #include <cstdint>
+#include <deque>
 #include <memory>
-#include <vector>
 
 #include "renaming/renaming.h"
 #include "tas/hardware_tas.h"
@@ -32,7 +32,8 @@ class LinearProbeRenaming final : public IRenaming {
   std::uint64_t capacity_;
   bool hardware_;
   std::unique_ptr<tas::HardwareTas[]> hw_slots_;
-  std::vector<std::unique_ptr<tas::RatRaceTas>> rr_slots_;
+  NodePool pool_;  ///< every RatRace slot's tree nodes
+  std::deque<tas::RatRaceTas> rr_slots_;
 };
 
 }  // namespace renamelib::renaming

@@ -12,16 +12,11 @@ MoirAndersonRenaming::MoirAndersonRenaming(std::size_t max_processes)
   rows_ = std::make_unique<std::atomic<splitter::Splitter*>[]>(side_);
 }
 
-MoirAndersonRenaming::~MoirAndersonRenaming() {
-  for (std::size_t r = 0; r < side_; ++r) {
-    delete[] rows_[r].load(std::memory_order_acquire);
-  }
-}
-
-splitter::Splitter& MoirAndersonRenaming::at(std::size_t row, std::size_t col) {
+splitter::Splitter& MoirAndersonRenaming::at(const Ctx& ctx, std::size_t row,
+                                             std::size_t col) {
   RENAMELIB_ENSURE(row + col < side_, "grid coordinates out of the triangle");
   splitter::Splitter* cells = publish_once_with(rows_[row], [&] {
-    return std::make_unique<splitter::Splitter[]>(side_ - row);
+    return pool_.make_array<splitter::Splitter>(ctx, side_ - row);
   }).first;
   return cells[col];
 }
@@ -41,7 +36,7 @@ MoirAndersonRenaming::Outcome MoirAndersonRenaming::rename_instrumented(
   std::size_t col = 0;
   for (;;) {
     ++out.moves;
-    switch (at(row, col).acquire(ctx, initial_id)) {
+    switch (at(ctx, row, col).acquire(ctx, initial_id)) {
       case splitter::SplitterOutcome::kStop:
         out.name = name_of(row, col);
         return out;

@@ -16,6 +16,7 @@
 #include <cstdint>
 #include <memory>
 
+#include "core/node_pool.h"
 #include "renaming/renaming.h"
 #include "splitter/splitter.h"
 
@@ -25,9 +26,6 @@ class MoirAndersonRenaming final : public IRenaming {
  public:
   /// Supports up to `max_processes` participants (grid side length).
   explicit MoirAndersonRenaming(std::size_t max_processes);
-  ~MoirAndersonRenaming() override;
-  MoirAndersonRenaming(const MoirAndersonRenaming&) = delete;
-  MoirAndersonRenaming& operator=(const MoirAndersonRenaming&) = delete;
 
   std::size_t max_processes() const noexcept { return side_; }
 
@@ -46,13 +44,15 @@ class MoirAndersonRenaming final : public IRenaming {
   /// d = row + col get names d(d+1)/2 + 1 .. (d+1)(d+2)/2, so the first
   /// k x k triangle holds exactly the names 1..k(k+1)/2.
   std::uint64_t name_of(std::size_t row, std::size_t col) const;
-  splitter::Splitter& at(std::size_t row, std::size_t col);
+  splitter::Splitter& at(const Ctx& ctx, std::size_t row, std::size_t col);
 
   std::size_t side_;
   /// One link per row of the triangle, filled on first touch with that
-  /// row's side_ - row splitters. A k-participant execution reaches at most
-  /// k rows, so a wide grid costs one pointer per row until a walk gets there.
+  /// row's side_ - row splitters, built in pool_. A k-participant execution
+  /// reaches at most k rows, so a wide grid costs one pointer per row until
+  /// a walk gets there.
   std::unique_ptr<std::atomic<splitter::Splitter*>[]> rows_;
+  NodePool pool_;
 };
 
 }  // namespace renamelib::renaming

@@ -14,7 +14,7 @@ Acquisition SplitterTree::acquire(Ctx& ctx, std::uint64_t id) {
       return Acquisition{bfs, depth};
     }
     const int dir = ctx.rng().coin() ? 1 : 0;
-    node = nodes_.child(node, dir);
+    node = nodes_.child(ctx, node, dir);
     bfs = 2 * bfs + static_cast<std::uint64_t>(dir);
     ++depth;
   }

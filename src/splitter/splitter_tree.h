@@ -6,10 +6,11 @@
 // with high probability, so acquired node indices (breadth-first, 1-based)
 // are poly(k) w.h.p. — exactly the TempName guarantee of Sec. 6.2.
 //
-// Nodes are materialized on demand (core/lazy.h). Node allocation is
-// memory-allocator bookkeeping, not a protocol step: it uses a CAS on a node
-// pointer that is not routed through Ctx, mirroring how the paper assumes an
-// unbounded pre-allocated tree.
+// Nodes are materialized on demand (core/lazy.h) in the tree's NodePool:
+// its own, or the enclosing object's when it is built with one. Node
+// allocation is memory-allocator bookkeeping, not a protocol step: it uses a
+// CAS on a node pointer that is not routed through Ctx, mirroring how the
+// paper assumes an unbounded pre-allocated tree.
 #pragma once
 
 #include <atomic>
@@ -34,6 +35,10 @@ class SplitterTree {
     std::atomic<Node*> child[2] = {nullptr, nullptr};
   };
 
+  SplitterTree() = default;
+  /// A tree whose nodes come from `pool`, an enclosing object's.
+  explicit SplitterTree(NodePool& pool) : pool_(pool) {}
+
   /// Descends until a splitter is acquired. `id` must be nonzero and unique
   /// per process. With k participants the acquisition height is at most k
   /// (paper, Sec. 6.2) and O(log k) with high probability thanks to the
@@ -48,7 +53,8 @@ class SplitterTree {
   std::size_t materialized() const noexcept { return nodes_.size(); }
 
  private:
-  LazyTree<Node> nodes_;
+  NodePool pool_;
+  LazyTree<Node> nodes_{pool_};
 };
 
 }  // namespace renamelib::splitter

@@ -21,6 +21,8 @@ namespace renamelib::splitter {
 class TempName {
  public:
   TempName() = default;
+  /// A TempName whose tree nodes come from `pool`, an enclosing object's.
+  explicit TempName(NodePool& pool) : tree_(pool) {}
 
   /// Returns this process's unique temporary name (>= 1). `id` must be
   /// nonzero and unique per process (its original, unbounded identifier).

@@ -18,7 +18,7 @@ bool RatRaceTas::test_and_set(Ctx& ctx) {
     while (node->splitter.acquire(ctx, id) != splitter::SplitterOutcome::kStop) {
       const int dir = ctx.rng().coin() ? 1 : 0;
       path.emplace_back(node, dir);
-      node = nodes_.child(node, dir);
+      node = nodes_.child(ctx, node, dir);
     }
   }
 

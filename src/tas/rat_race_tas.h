@@ -29,6 +29,10 @@ namespace renamelib::tas {
 
 class RatRaceTas final : public ITas {
  public:
+  RatRaceTas() = default;
+  /// A RatRace whose tree nodes come from `pool`, an enclosing object's.
+  explicit RatRaceTas(NodePool& pool) : pool_(pool) {}
+
   /// Competes; returns true iff this process is the unique winner.
   /// Uses ctx.pid() (must be unique across participants) as splitter id.
   bool test_and_set(Ctx& ctx) override;
@@ -44,9 +48,11 @@ class RatRaceTas final : public ITas {
     std::atomic<Node*> child[2] = {nullptr, nullptr};
   };
 
-  // Lazily materialized; the paper assumes the unbounded tree pre-exists in
-  // shared memory, so a node's allocation is not a protocol step.
-  LazyTree<Node> nodes_;
+  // Lazily materialized in pool_; the paper assumes the unbounded tree
+  // pre-exists in shared memory, so a node's allocation is not a protocol
+  // step.
+  NodePool pool_;
+  LazyTree<Node> nodes_{pool_};
 };
 
 }  // namespace renamelib::tas

@@ -234,14 +234,16 @@ TEST(AdaptiveNetwork, BoundedLossStreakStillExits) {
 }
 
 TEST(ArbiterIndex, ConcurrentGetsOfOneComparatorShareOneObject) {
-  ArbiterIndex<std::atomic<int>> index;
+  NodePool pool;
+  ArbiterIndex<std::atomic<int>> index(pool);
   const CompRef comp{CompRef::c_component(4), 100, 40000};
   constexpr int kThreads = 8;
   std::vector<std::atomic<int>*> seen(kThreads, nullptr);
   std::vector<std::thread> threads;
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&, t] {
-      std::atomic<int>& object = index.get(comp);
+      const Ctx ctx(t, 1);
+      std::atomic<int>& object = index.get(ctx, comp);
       object.fetch_add(1);
       seen[t] = &object;
     });
@@ -267,16 +269,18 @@ TEST(ArbiterIndex, CountsDistinctComparatorsExactlyAcrossChunksAndPages) {
       comps.push_back({CompRef::a_component(4), phase, lo});
     }
   }
-  ArbiterIndex<std::atomic<int>> index;
+  NodePool pool;
+  ArbiterIndex<std::atomic<int>> index(pool);
   constexpr int kThreads = 8;
   std::vector<std::vector<std::atomic<int>*>> seen(
       kThreads, std::vector<std::atomic<int>*>(comps.size(), nullptr));
   std::vector<std::thread> threads;
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&, t] {
+      const Ctx ctx(t, 1);
       for (std::size_t i = 0; i < comps.size(); ++i) {
         const std::size_t k = (t % 2 == 0) ? i : comps.size() - 1 - i;
-        std::atomic<int>& object = index.get(comps[k]);
+        std::atomic<int>& object = index.get(ctx, comps[k]);
         object.fetch_add(1);
         seen[t][k] = &object;
       }
@@ -285,9 +289,10 @@ TEST(ArbiterIndex, CountsDistinctComparatorsExactlyAcrossChunksAndPages) {
   for (auto& th : threads) th.join();
   EXPECT_EQ(index.census().comparators, comps.size());
   std::set<std::atomic<int>*> distinct;
+  const Ctx reader(kThreads, 1);
   for (std::size_t k = 0; k < comps.size(); ++k) {
     for (int t = 1; t < kThreads; ++t) ASSERT_EQ(seen[t][k], seen[0][k]) << k;
-    EXPECT_EQ(&index.get(comps[k]), seen[0][k]) << k;
+    EXPECT_EQ(&index.get(reader, comps[k]), seen[0][k]) << k;
     EXPECT_EQ(seen[0][k]->load(), kThreads) << k;
     distinct.insert(seen[0][k]);
   }
@@ -304,20 +309,21 @@ TEST(ArbiterIndex, StageFiveComparatorCostsDepthNotWidth) {
   const std::uint64_t lo = wing.width() - 3;
   const auto hit = wing.hit(lo, 527);
   ASSERT_TRUE(hit.has_value() && hit->is_lo);
-  ArbiterIndex<tas::TwoProcessTas> index;
+  NodePool pool;
+  ArbiterIndex<tas::TwoProcessTas> index(pool);
   const CompRef comp{CompRef::c_component(5), 527, lo};
   Ctx solo(0, 1);
-  EXPECT_TRUE(index.get(comp).compete(solo, 0));
+  EXPECT_TRUE(index.get(solo, comp).compete(solo, 0));
   EXPECT_EQ(index.census().comparators, 1u);
   EXPECT_EQ(index.census().blocks, 8u);
   // Its chunk neighbour adds a claim but no block; the same comparator in
   // another component shares nothing.
-  (void)index.get(CompRef{CompRef::c_component(5), 527, lo - 1});
+  (void)index.get(solo, CompRef{CompRef::c_component(5), 527, lo - 1});
   EXPECT_EQ(index.census().blocks, 8u);
-  (void)index.get(CompRef{CompRef::a_component(5), 527, lo});
+  (void)index.get(solo, CompRef{CompRef::a_component(5), 527, lo});
   EXPECT_EQ(index.census().comparators, 3u);
   EXPECT_EQ(index.census().blocks, 16u);
-  EXPECT_FALSE(index.get(comp).compete(solo, 1));  // the same object, decided
+  EXPECT_FALSE(index.get(solo, comp).compete(solo, 1));  // the same object, decided
 }
 
 TEST(AdaptiveNetwork, RenamingMaterializesOneArbiterPerComparatorMet) {

@@ -1,18 +1,22 @@
 // Unit tests for src/core: RNG determinism, step accounting, registers, the
-// lazy-materialization table, and the scheduler gate handshake (exercised
-// through the simulator).
+// node pool behind lazy materialization, and the scheduler gate handshake
+// (exercised through the simulator).
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
+#include <cstdint>
+#include <cstring>
 #include <set>
 #include <thread>
 #include <vector>
 
 #include "core/ctx.h"
-#include "core/lazy_table.h"
+#include "core/node_pool.h"
 #include "core/register.h"
 #include "core/rng.h"
+#include "counting/bounded_fai.h"
+#include "renaming/adaptive_strong.h"
 #include "sim/executor.h"
 
 namespace renamelib {
@@ -130,71 +134,110 @@ TEST(LabelScope, NestsAndRestores) {
   EXPECT_STREQ(ctx.label(), "");
 }
 
-// --- LazyTable ------------------------------------------------------------
+// --- NodePool -------------------------------------------------------------
 
-TEST(LazyTable, ConcurrentGetsOfOneKeyShareOneSlot) {
-  LazyTable<std::atomic<int>> table;
-  constexpr int kThreads = 8;
-  std::vector<std::atomic<int>*> seen(kThreads, nullptr);
+struct alignas(64) Line {
+  std::uint64_t word[8];
+};
+
+TEST(NodePool, ConcurrentLanesNeverOverlapAndHonourAlignment) {
+  NodePool pool;
+  constexpr int kThreads = 4;
+  constexpr int kPerThread = 3000;  // several slabs per lane
+  struct Block {
+    std::uintptr_t begin, end;
+    int owner;
+  };
+  std::vector<std::vector<Block>> got(kThreads);
   std::vector<std::thread> threads;
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&, t] {
-      std::atomic<int>& value = table.get(12345);
-      value.fetch_add(1);
-      seen[t] = &value;
-    });
-  }
-  for (auto& th : threads) th.join();
-  for (auto* p : seen) EXPECT_EQ(p, seen[0]);
-  EXPECT_EQ(seen[0]->load(), kThreads);
-  EXPECT_EQ(table.size(), 1u);
-  EXPECT_EQ(table.find(12345), seen[0]);
-}
-
-TEST(LazyTable, DistinctKeysAreCountedExactlyAcrossLevels) {
-  // Eight threads claim the same keys in different orders. There are far
-  // more keys than the first level has slots, so probe windows fill and
-  // claims spill into later, larger levels.
-  LazyTable<std::atomic<int>> table;
-  constexpr int kThreads = 8;
-  constexpr std::uint64_t kKeys = 4096;
-  std::vector<std::vector<std::atomic<int>*>> seen(
-      kThreads, std::vector<std::atomic<int>*>(kKeys, nullptr));
-  std::vector<std::thread> threads;
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&, t] {
-      for (std::uint64_t i = 0; i < kKeys; ++i) {
-        const std::uint64_t k = (t % 2 == 0) ? i : kKeys - 1 - i;
-        const std::uint64_t key = k * 0x10000;  // structured, low bits equal
-        std::atomic<int>& value = table.get(key);
-        value.fetch_add(1);
-        seen[t][k] = &value;
+      const Ctx ctx(t, 1);
+      for (int i = 0; i < kPerThread; ++i) {
+        void* p;
+        std::size_t bytes;
+        std::size_t align;
+        switch (i % 4) {
+          case 0: bytes = sizeof(Line), align = alignof(Line), p = pool.make<Line>(ctx); break;
+          case 1: bytes = 1, align = 1, p = pool.make<std::uint8_t>(ctx, std::uint8_t{7}); break;
+          case 2: bytes = 24, align = 8, p = pool.allocate(ctx, bytes, align); break;
+          default: bytes = 5000, align = 16, p = pool.allocate(ctx, bytes, align); break;
+        }
+        const auto a = reinterpret_cast<std::uintptr_t>(p);
+        ASSERT_EQ(a % align, 0u) << "bytes " << bytes;
+        std::memset(p, t, bytes);  // a racing overlap would be caught below
+        got[t].push_back({a, a + bytes, t});
       }
     });
   }
   for (auto& th : threads) th.join();
-  EXPECT_EQ(table.size(), kKeys);
-  EXPECT_GT(table.levels(), 1u);
-  std::set<std::atomic<int>*> distinct;
-  for (std::uint64_t k = 0; k < kKeys; ++k) {
-    for (int t = 1; t < kThreads; ++t) ASSERT_EQ(seen[t][k], seen[0][k]) << k;
-    EXPECT_EQ(table.find(k * 0x10000), seen[0][k]) << k;
-    EXPECT_EQ(seen[0][k]->load(), kThreads) << k;
-    distinct.insert(seen[0][k]);
+  std::vector<Block> all;
+  for (int t = 0; t < kThreads; ++t) {
+    for (const Block& b : got[t]) {
+      // Every byte still holds its writer's mark: no other thread wrote it.
+      const auto* bytes = reinterpret_cast<const unsigned char*>(b.begin);
+      ASSERT_EQ(bytes[0], t);
+      ASSERT_EQ(bytes[b.end - b.begin - 1], t);
+      all.push_back(b);
+    }
   }
-  EXPECT_EQ(distinct.size(), kKeys);
-  EXPECT_EQ(table.find(kKeys * 0x10000), nullptr);
+  std::sort(all.begin(), all.end(),
+            [](const Block& x, const Block& y) { return x.begin < y.begin; });
+  for (std::size_t i = 1; i < all.size(); ++i) {
+    ASSERT_LE(all[i - 1].end, all[i].begin) << "blocks " << i - 1 << " and " << i;
+  }
+  EXPECT_TRUE(pool.materialized());
+  EXPECT_GT(pool.slab_count(), static_cast<std::size_t>(kThreads));
 }
 
-TEST(LazyTable, KeyZeroIsAKey) {
-  LazyTable<int> table;
-  EXPECT_EQ(table.find(0), nullptr);
-  table.get(0) = 7;
-  EXPECT_EQ(table.size(), 1u);
-  ASSERT_NE(table.find(0), nullptr);
-  EXPECT_EQ(*table.find(0), 7);
-  EXPECT_EQ(table.find(1), nullptr);
-  EXPECT_EQ(table.find(LazyTable<int>::kEmpty), nullptr);
+TEST(NodePool, BorrowersShareTheOwnersSlabs) {
+  NodePool owner;
+  NodePool borrower(owner);
+  NodePool nested(borrower);  // borrows the owner, not the borrower
+  const Ctx ctx(0, 1);
+  EXPECT_FALSE(owner.materialized());
+  (void)nested.make<int>(ctx, 1);
+  EXPECT_TRUE(owner.materialized());
+  EXPECT_TRUE(borrower.materialized());
+  EXPECT_EQ(owner.slab_count(), 1u);
+  (void)borrower.make<int>(ctx, 2);
+  EXPECT_EQ(nested.slab_count(), 1u);
+}
+
+TEST(NodePool, ConstructingThePapersObjectsAllocatesNothing) {
+  const counting::BoundedFetchAndIncrement fai(1024);
+  EXPECT_FALSE(fai.pool().materialized());
+  EXPECT_EQ(fai.pool().slab_count(), 0u);
+  const renaming::AdaptiveStrongRenaming renaming;
+  EXPECT_FALSE(renaming.pool().materialized());
+  EXPECT_EQ(renaming.pool().slab_count(), 0u);
+}
+
+TEST(NodePool, MaterializedCountsStayExact) {
+  // A solo op builds one node per level; three more threads then build
+  // exactly the nodes on the paths of the values they are handed.
+  counting::BoundedFetchAndIncrement fai(16);
+  Ctx solo(0, 1);
+  EXPECT_EQ(fai.fetch_and_increment(solo), 0u);
+  EXPECT_EQ(fai.materialized_nodes(), 4u);  // the 16-, 8-, 4- and 2-valued nodes
+  std::vector<std::thread> threads;
+  for (int t = 1; t <= 3; ++t) {
+    threads.emplace_back([&, t] {
+      Ctx ctx(t, 7);
+      for (int i = 0; i < 5; ++i) (void)fai.fetch_and_increment(ctx);
+    });
+  }
+  for (auto& th : threads) th.join();
+  EXPECT_EQ(fai.materialized_nodes(), 15u);  // all 16 values handed out
+
+  // Hardware arbiters: a solo rename of temporary name 1 meets S_0's one
+  // comparator only.
+  renaming::AdaptiveStrongRenaming::Options options;
+  options.comparators = renaming::AdaptiveComparatorKind::kHardware;
+  renaming::AdaptiveStrongRenaming renaming(options);
+  const auto out = renaming.rename_instrumented(solo, 42);
+  EXPECT_EQ(out.name, 1u);
+  EXPECT_EQ(renaming.materialized_comparators(), out.comparators);
 }
 
 // --- simulator smoke tests (full coverage in sim_test.cpp) ---------------

@@ -8,7 +8,11 @@
 //     allocations (including container internals) in the arena; operator
 //     delete of arena memory is a no-op and plain heap traffic is untouched,
 //   * sharing — a fork()ed child's writes through an arena pointer are
-//     visible to the parent (the property the whole proc backend rests on).
+//     visible to the parent (the property the whole proc backend rests on),
+//   * node pools — a NodePool built inside an ArenaScope keeps drawing from
+//     that arena after the scope closes, so a node a forked child builds is
+//     the parent's too, and an exhausted arena stops the pool with its
+//     ENSURE instead of falling back to private memory.
 #include <gtest/gtest.h>
 
 #include <fcntl.h>
@@ -19,9 +23,12 @@
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
+#include <optional>
 #include <string>
 #include <vector>
 
+#include "core/lazy.h"
+#include "core/node_pool.h"
 #include "proc/shm_arena.h"
 
 namespace renamelib::proc {
@@ -152,6 +159,50 @@ TEST(ShmArena, WritesAreSharedAcrossFork) {
   ASSERT_EQ(::waitpid(pid, &status, 0), pid);
   ASSERT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0);
   EXPECT_EQ(flag->load(std::memory_order_acquire), 0xC0FFEEu);
+}
+
+TEST(ShmArena, NodePoolKeepsDrawingFromItsArenaAfterTheScope) {
+  ShmArena arena(1 << 20, /*tag=*/0x66);
+  std::optional<NodePool> pool;
+  std::atomic<std::uint64_t*>* link = nullptr;
+  {
+    ArenaScope scope(arena);
+    pool.emplace();
+    link = new std::atomic<std::uint64_t*>(nullptr);
+  }
+  const Ctx parent(0, 1);
+  EXPECT_TRUE(arena.contains(pool->make<std::uint64_t>(parent, 1)));
+
+  // A child builds a node after fork(); the parent finds it through the
+  // shared link, holding the child's value.
+  const pid_t pid = ::fork();
+  ASSERT_GE(pid, 0);
+  if (pid == 0) {
+    const Ctx child(1, 2);
+    const auto [node, installed] = publish_once(child, *pool, *link, 0xBEEFu);
+    std::_Exit(installed && arena.contains(node) ? 0 : 1);
+  }
+  int status = 0;
+  ASSERT_EQ(::waitpid(pid, &status, 0), pid);
+  ASSERT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0);
+  std::uint64_t* node = link->load(std::memory_order_acquire);
+  ASSERT_NE(node, nullptr);
+  EXPECT_EQ(*node, 0xBEEFu);
+}
+
+TEST(ShmArenaDeathTest, ExhaustedArenaStopsTheNodePool) {
+  EXPECT_DEATH(
+      {
+        ShmArena arena(1 << 16, /*tag=*/0x77);
+        std::optional<NodePool> pool;
+        {
+          ArenaScope scope(arena);
+          pool.emplace();
+        }
+        const Ctx ctx(0, 1);
+        for (;;) (void)pool->allocate(ctx, 4096, 64);
+      },
+      "shm arena exhausted");
 }
 
 }  // namespace

@@ -1,15 +1,11 @@
-// Tests for the deterministic Moir–Anderson grid renaming and the adaptive
-// collect of [25].
+// Tests for the deterministic Moir–Anderson grid renaming.
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <map>
-#include <set>
+#include <vector>
 
 #include "renaming/moir_anderson.h"
 #include "renaming/validate.h"
 #include "sim/executor.h"
-#include "splitter/collect.h"
 
 namespace renamelib {
 namespace {
@@ -93,80 +89,6 @@ TEST(MoirAnderson, AdaptiveNamespaceDespiteLargeGrid) {
     ASSERT_EQ(result.finished_count(), static_cast<std::size_t>(k));
     EXPECT_TRUE(renaming::check_tight(names, 15).ok) << "seed " << seed;
   }
-}
-
-// -------------------------------------------------------------- Collect ---
-
-TEST(AdaptiveCollect, StoreThenCollectSeesValue) {
-  splitter::AdaptiveCollect collect;
-  Ctx ctx(0, 1);
-  const auto h = collect.register_process(ctx, 42);
-  collect.store(ctx, h, 1000);
-  const auto view = collect.collect(ctx);
-  ASSERT_EQ(view.size(), 1u);
-  EXPECT_EQ(view[0], (std::pair<std::uint64_t, std::uint64_t>{42, 1000}));
-}
-
-TEST(AdaptiveCollect, LatestValueWins) {
-  splitter::AdaptiveCollect collect;
-  Ctx ctx(0, 1);
-  const auto h = collect.register_process(ctx, 7);
-  collect.store(ctx, h, 1);
-  collect.store(ctx, h, 2);
-  collect.store(ctx, h, 3);
-  const auto view = collect.collect(ctx);
-  ASSERT_EQ(view.size(), 1u);
-  EXPECT_EQ(view[0].second, 3u);
-}
-
-TEST(AdaptiveCollect, ConcurrentStoresAllVisibleAfterQuiescence) {
-  for (std::uint64_t seed = 0; seed < 6; ++seed) {
-    splitter::AdaptiveCollect collect;
-    const int k = 10;
-    sim::RandomAdversary adversary(seed * 5 + 3);
-    sim::RunOptions options;
-    options.seed = seed;
-    auto result = sim::run_simulation(
-        k,
-        [&](Ctx& ctx) {
-          const std::uint64_t id = static_cast<std::uint64_t>(ctx.pid()) + 1;
-          const auto h = collect.register_process(ctx, id);
-          collect.store(ctx, h, id * 100);
-        },
-        adversary, options);
-    ASSERT_EQ(result.finished_count(), static_cast<std::size_t>(k));
-    Ctx reader(k, 777);
-    auto view = collect.collect(reader);
-    ASSERT_EQ(view.size(), static_cast<std::size_t>(k)) << "seed " << seed;
-    std::sort(view.begin(), view.end());
-    for (int p = 0; p < k; ++p) {
-      EXPECT_EQ(view[p].first, static_cast<std::uint64_t>(p) + 1);
-      EXPECT_EQ(view[p].second, (static_cast<std::uint64_t>(p) + 1) * 100);
-    }
-  }
-}
-
-TEST(AdaptiveCollect, CollectSeesOnlyCompleteStores) {
-  // A registered process that never stored must not appear.
-  splitter::AdaptiveCollect collect;
-  Ctx a(0, 1), b(1, 2);
-  (void)collect.register_process(a, 10);
-  const auto hb = collect.register_process(b, 20);
-  collect.store(b, hb, 5);
-  const auto view = collect.collect(b);
-  ASSERT_EQ(view.size(), 1u);
-  EXPECT_EQ(view[0].first, 20u);
-}
-
-TEST(AdaptiveCollect, AdaptiveCost) {
-  // Collect cost scales with participants, not a provisioned maximum.
-  splitter::AdaptiveCollect collect;
-  Ctx ctx(0, 3);
-  const auto h = collect.register_process(ctx, 1);
-  collect.store(ctx, h, 9);
-  ctx.reset_counters();
-  (void)collect.collect(ctx);
-  EXPECT_LE(ctx.shared_steps(), 16u) << "solo collect must be O(1)-ish";
 }
 
 }  // namespace

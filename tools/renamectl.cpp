@@ -67,9 +67,7 @@ int usage(std::ostream& out, int code) {
          "            event bus and attaches them to the report runs;\n"
          "            --backend=proc forks --threads OS processes over a\n"
          "            shared-memory arena (telemetry gossip-merged, and\n"
-         "            --crashes=N SIGKILLs N workers mid-run for real;\n"
-         "            specs that allocate shared state after construction\n"
-         "            are refused)\n";
+         "            --crashes=N SIGKILLs N workers mid-run for real)\n";
   return code;
 }
 

@@ -14,9 +14,16 @@
 //   * the crash-storm reclaim ledger: seed-chosen victims die holding
 //     partially drained leases; survivors stay unique and the quiescent
 //     double-reclaim returns every unreturned tail to the escrow pool.
+//
+// Flags: --smoke shrinks threads and sweeps (the ctest and CI preset),
+// --json=FILE writes a renamelib.bench_report.v1 report for
+// tools/bench_compare.py, --events adds per-run obs event counts to it.
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cstdlib>
+#include <cstring>
+#include <iostream>
 #include <set>
 #include <string>
 #include <thread>
@@ -24,9 +31,12 @@
 
 #include "api/leases.h"
 #include "api/registry.h"
+#include "api/report.h"
 #include "api/workload.h"
-#include "bench_common.h"
 #include "lease/lease_broker.h"
+#include "obs/event_bus.h"
+#include "stats/latency_recorder.h"
+#include "stats/table.h"
 
 namespace renamelib {
 namespace {
@@ -34,6 +44,48 @@ namespace {
 using api::Registry;
 using api::Scenario;
 using api::Workload;
+
+bool g_smoke = false;        ///< --smoke: shrunk threads and sweeps
+std::string g_json_path;     ///< --json=FILE ("" when not given)
+api::BenchReport g_report;   ///< the runs finish() writes to g_json_path
+
+void parse_args(int argc, char** argv) {
+  g_report.bench = "bench_lease";
+  for (int i = 1; i < argc; ++i) {
+    if (std::strcmp(argv[i], "--smoke") == 0) {
+      g_smoke = true;
+    } else if (std::strncmp(argv[i], "--json=", 7) == 0 && argv[i][7] != 0) {
+      g_json_path = argv[i] + 7;
+    } else if (std::strcmp(argv[i], "--events") == 0) {
+      obs::EventBus::set_enabled(true);
+    } else {
+      std::cerr << "usage: " << argv[0]
+                << " [--smoke] [--json=FILE] [--events]\n"
+                << "bad flag '" << argv[i] << "'\n";
+      std::exit(2);
+    }
+  }
+  if (g_smoke) std::cout << "[smoke preset]\n";
+}
+
+/// Writes the report when --json was given; main's last statement.
+int finish() {
+  if (g_json_path.empty()) return 0;
+  g_report.write_file(g_json_path);
+  std::cout << "wrote bench report: " << g_json_path << " ("
+            << g_report.runs.size() << " runs)\n";
+  return 0;
+}
+
+/// `full` normally, `smoke` under --smoke.
+template <typename T>
+T pick(T full, T smoke) {
+  return g_smoke ? smoke : full;
+}
+
+void print_header(const char* experiment, const char* claim) {
+  std::cout << "\n=== " << experiment << " ===\n" << claim << "\n\n";
+}
 
 /// Exits non-zero unless `values` are pairwise distinct and below `bound`.
 void check_unique_bounded(std::vector<std::uint64_t> values,
@@ -55,7 +107,7 @@ void check_unique_bounded(std::vector<std::uint64_t> values,
 // ------------------------------------------------------ quota amortization ---
 
 void amortization_table() {
-  bench::print_header(
+  print_header(
       "Quota amortization (adversarial simulation, exact step counts)",
       "One leased range of Q positions pays one refill (mint + install) and "
       "~Q/window watermark advances, then serves locally: shared steps per "
@@ -63,10 +115,10 @@ void amortization_table() {
   stats::Table table({"quota", "k", "ops", "shared steps", "shared/op",
                       "mean op steps", "refills", "advances", "minted"});
   const int k = 8;
-  const int ops = bench::pick(32, 4);
+  const int ops = pick(32, 4);
   std::vector<double> shared_per_op;
   for (const std::uint64_t quota :
-       bench::sweep_or_first<std::uint64_t>({1, 8, 64, 256})) {
+       pick<std::vector<std::uint64_t>>({1, 8, 64, 256}, {1})) {
     const std::string spec =
         "lease:quota=" + std::to_string(quota) + ",inner=[atomic_fai]";
     const auto counter = Registry::global().make_counter(spec);
@@ -76,7 +128,8 @@ void amortization_table() {
                 << "' did not build a LeasedCounterAdapter\n";
       std::exit(1);
     }
-    const auto s = bench::sim_scenario(k, ops, 17 + quota);
+    const Scenario s{.nproc = k, .ops_per_proc = ops, .crashes = {},
+                     .seed = 17 + quota};  // simulated
     const api::Run run = Workload(s).run(*counter);
     const std::uint64_t total =
         static_cast<std::uint64_t>(k) * static_cast<std::uint64_t>(ops);
@@ -95,7 +148,7 @@ void amortization_table() {
                    std::to_string(stats.refills),
                    std::to_string(stats.advances),
                    std::to_string(stats.minted)});
-    bench::report_run("amortization", spec, s, run);
+    g_report.runs.push_back(api::report_run("amortization", spec, s, run));
   }
   table.print(std::cout);
   // The curve only exists with more than one sweep point (full preset).
@@ -192,19 +245,19 @@ void report_throughput(const std::string& spec, int threads,
   r.ops_per_sec = run.ops_per_sec;
   r.unit = "ns";
   r.latency = stats::LatencySnapshot::of(run.ns_per_op);
-  bench::g_report.runs.push_back(std::move(r));
+  g_report.runs.push_back(std::move(r));
 }
 
 void throughput_table() {
-  bench::print_header(
+  print_header(
       "16-thread hardware shootout: leased striped vs bare striped",
       "Tight next() loops on real threads. The lease serves thread-locally "
       "until the range drains, so its per-op cost is a cursor bump; the "
       "bare inner pays its shared synchronization every op. Claim: quota=64 "
       "reaches >= 5x the bare inner's ops/sec (validated in the full "
       "preset).");
-  const int threads = bench::pick(16, 4);
-  const int ops = bench::pick(200'000, 2'000);
+  const int threads = pick(16, 4);
+  const int ops = pick(200'000, 2'000);
   const std::string inner = "striped:stripes=8";
 
   stats::Table table({"spec", "ops/sec", "speedup", "thread mean ns/op",
@@ -222,7 +275,7 @@ void throughput_table() {
 
   double speedup_at_64 = 0;
   for (const std::uint64_t quota :
-       bench::pick<std::vector<std::uint64_t>>({1, 8, 64, 256}, {64})) {
+       pick<std::vector<std::uint64_t>>({1, 8, 64, 256}, {64})) {
     const std::string spec =
         "lease:quota=" + std::to_string(quota) + ",inner=[" + inner + "]";
     const TimedRun leased =
@@ -245,7 +298,7 @@ void throughput_table() {
                "preset shrinks threads and ops and skips the ratio gate — "
                "thread counts that fit a loaded CI core are too noisy to "
                "assert a multiplier on.)\n";
-  if (!bench::g_smoke && speedup_at_64 < 5.0) {
+  if (!g_smoke && speedup_at_64 < 5.0) {
     std::cerr << "VALIDATION FAILED: lease:quota=64 reached only "
               << speedup_at_64 << "x the bare inner (claim: >= 5x)\n";
     std::exit(1);
@@ -255,7 +308,7 @@ void throughput_table() {
 // ----------------------------------------------------- crash-storm reclaim ---
 
 void crash_reclaim_table() {
-  bench::print_header(
+  print_header(
       "Crash-storm reclaim ledger (CrashAdversary, simulated)",
       "Two of six processes die at seed-drawn shared-step thresholds — "
       "inside refills, holding partially drained leases. Survivors stay "
@@ -266,13 +319,13 @@ void crash_reclaim_table() {
   stats::Table table({"seed", "crashed", "values", "reclaimed ranges",
                       "reclaimed positions", "dropped", "pool grants"});
   std::uint64_t storms_with_seizures = 0;
-  const std::uint64_t seeds = bench::pick<std::uint64_t>(6, 2);
+  const std::uint64_t seeds = pick<std::uint64_t>(6, 2);
   for (std::uint64_t seed = 1; seed <= seeds; ++seed) {
     const auto counter = Registry::global().make_counter(spec);
     auto* adapter = dynamic_cast<api::LeasedCounterAdapter*>(counter.get());
-    Scenario s = bench::sim_scenario(6, 8, seed);
-    s.crashes.max_crashes = 2;
-    s.crashes.crash_step_max = 6;
+    const Scenario s{.nproc = 6, .ops_per_proc = 8,
+                     .crashes = {.max_crashes = 2, .crash_step_max = 6},
+                     .seed = seed};  // simulated
     const api::Run run = Workload(s).run(*counter);
     const std::uint64_t attempted =
         static_cast<std::uint64_t>(s.nproc) * s.ops_per_proc;
@@ -295,7 +348,7 @@ void crash_reclaim_table() {
                    std::to_string(stats.reclaimed_positions),
                    std::to_string(stats.dropped_ranges),
                    std::to_string(stats.pool_grants)});
-    bench::report_run("lease_crash", spec, s, run);
+    g_report.runs.push_back(api::report_run("lease_crash", spec, s, run));
   }
   table.print(std::cout);
   if (storms_with_seizures == 0) {
@@ -309,9 +362,9 @@ void crash_reclaim_table() {
 }  // namespace renamelib
 
 int main(int argc, char** argv) {
-  renamelib::bench::parse_args(argc, argv);
+  renamelib::parse_args(argc, argv);
   renamelib::amortization_table();
   renamelib::throughput_table();
   renamelib::crash_reclaim_table();
-  return renamelib::bench::finish();
+  return renamelib::finish();
 }

@@ -1,19 +1,22 @@
 // renamectl — the registry driver CLI.
 //
-// One binary to explore and exercise everything the registry knows, without
-// writing a bench: list the facet catalogs, dump the typed option schemas
-// (the same Registry::describe() data docs/SPEC_GRAMMAR.md's tables are
-// rendered from), and run one-off Workload scenarios that emit the standard
-// machine-readable BenchReport (schema renamelib.bench_report.v1), so a CLI
-// experiment lands in the same bench_compare.py pipeline as the benches.
+// One binary to explore and exercise everything the registry knows: list
+// the facet catalogs, dump the typed option schemas (the same
+// Registry::describe() data docs/SPEC_GRAMMAR.md's tables are rendered
+// from), run one-off Workload scenarios that emit the standard
+// machine-readable BenchReport (schema renamelib.bench_report.v1) for
+// bench_compare.py, and print the paper-claims ledger.
 //
 //   renamectl list [--facet=counter|renaming|readable]
 //   renamectl describe [NAME] [--facet=...]
 //   renamectl events                      # the instrumentation-site catalog
+//   renamectl claims                      # the paper-claims ledger
 //   renamectl run --facet=counter --spec=striped:stripes=16 --threads=8 \
 //                 --ops=1000 --backend=hardware --json=-
 //   renamectl run --smoke --json=FILE     # deterministic all-entries matrix
 //   renamectl run --spec=... --events     # + per-site event counts/rates
+//
+// `claims` takes no flags; tools/claims.cpp documents the ledger.
 //
 // `run` executes the facet's standard workload (counters: next(); renamings:
 // hold-all acquires; readables: a 2:1 increment/read mix) under the chosen
@@ -23,8 +26,9 @@
 // adversary, step-count latencies), which is what makes the stored
 // bench/baselines/smoke.json comparable across machines and commits.
 //
-// Exit codes: 0 success, 1 validation failure inside a run, 2 usage or spec
-// errors (unknown names/keys surface the registry's did-you-mean messages).
+// Exit codes: 0 success, 1 validation failure inside a run or a failed
+// claims check, 2 usage or spec errors (unknown names/keys surface the
+// registry's did-you-mean messages).
 #include <charconv>
 #include <cstdint>
 #include <cstring>
@@ -37,6 +41,7 @@
 #include "api/report.h"
 #include "api/spec.h"
 #include "api/workload.h"
+#include "claims.h"
 #include "obs/event_bus.h"
 #include "obs/sites.h"
 #include "stats/latency_recorder.h"
@@ -50,6 +55,7 @@ int usage(std::ostream& out, int code) {
          "  renamectl list [--facet=counter|renaming|readable]\n"
          "  renamectl describe [NAME] [--facet=...]\n"
          "  renamectl events\n"
+         "  renamectl claims\n"
          "  renamectl run [--facet=F --spec=S] [--threads=N] [--ops=N]\n"
          "                [--backend=simulated|hardware|proc]\n"
          "                [--sched=random|roundrobin|obstruction]\n"
@@ -60,6 +66,8 @@ int usage(std::ostream& out, int code) {
          "  describe  typed option schemas (key, type, default, doc)\n"
          "  events    the instrumentation-site catalog (obs/sites.h): the\n"
          "            names --events tables and report 'events' keys use\n"
+         "  claims    the paper-claims ledger: per claim a simulated sweep,\n"
+         "            a growth fit and a verdict; exits 1 if a check fails\n"
          "  run       one Workload scenario -> BenchReport JSON; --smoke\n"
          "            without --spec runs the deterministic all-entries\n"
          "            simulated matrix (the stored baseline's generator);\n"
@@ -454,6 +462,11 @@ int main(int argc, char** argv) {
     if (cmd == "list") return cmd_list(args);
     if (cmd == "describe") return cmd_describe(args);
     if (cmd == "events") return cmd_events(args);
+    if (cmd == "claims") {
+      args.reject_unknown();
+      if (!args.positional().empty()) return usage(std::cerr, 2);
+      return renamelib::tools::run_claims(std::cout);
+    }
     if (cmd == "run") return cmd_run(args);
     std::cerr << "unknown command '" << cmd << "'\n";
     return usage(std::cerr, 2);

@@ -77,9 +77,9 @@ struct Scenario;
 struct Run;
 
 /// One report run from a Workload result. Hardware and proc runs carry
-/// wall-clock latency ("ns", Run::latency; on proc the gossip-merged
-/// per-process recording); simulated runs carry the paper-model per-op step
-/// distribution ("steps").
+/// wall-clock latency ("ns", Run::latency; on proc the parent's fold of the
+/// survivors' per-process recordings); simulated runs carry the paper-model
+/// per-op step distribution ("steps").
 ReportRun report_run(std::string name, std::string spec, const Scenario& s,
                      const Run& run);
 

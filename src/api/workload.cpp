@@ -228,7 +228,7 @@ Run Workload::run_metered(
     if (proc) {
       // The worker's recorder slots are its private copy-on-write pages, so
       // its snapshot holds exactly its own samples — published whole into
-      // the mailbox Contribution for the gossip merge.
+      // the mailbox Contribution the parent folds.
       proc::Worker::current()->publish_done(
           local, latency ? latency->snapshot() : stats::LatencySnapshot{},
           ctx.steps());
@@ -242,7 +242,7 @@ Run Workload::run_metered(
   execute(body, mu, run);
 
   if (recorder) run.history = recorder->history();
-  // Proc backend: run.latency was already set from the gossip fold; the
+  // Proc backend: run.latency was already set from the mailbox fold; the
   // parent's own recorder never saw the workers' (COW-private) samples.
   if (latency && scenario_.backend != Backend::kProc) {
     run.latency = latency->snapshot();
@@ -335,7 +335,7 @@ void Workload::execute(const std::function<void(Ctx&)>& body, std::mutex& mu,
                      "history recording is not supported on the proc backend "
                      "(mailboxes carry mergeable snapshots, not histories)");
     // The raw body, not with_totals: per-process totals travel through the
-    // mailbox Contributions and the gossip fold, never through a
+    // mailbox Contributions the parent folds, never through a
     // parent-side mutex (which a child could only update copy-on-write).
     proc::run_proc(scenario_, body, run);
     return;

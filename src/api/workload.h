@@ -37,9 +37,9 @@ enum class Backend {
   kSimulated,  ///< deterministic adversarial scheduler (sim/)
   /// Forked OS processes over a POSIX shared-memory arena (src/proc). The
   /// object under test must be placement-constructed inside the arena
-  /// (proc::ArenaScope); run_facet_spec does this automatically. Telemetry is
-  /// merged coordinator-free by 3-round all-to-all gossip, and crash plans
-  /// SIGKILL real processes (see proc/proc_backend.h).
+  /// (proc::ArenaScope); run_facet_spec does this automatically. The parent
+  /// folds the survivors' mailboxes into the Run, and crash plans SIGKILL
+  /// real processes (see proc/proc_backend.h).
   kProc,
 };
 
@@ -149,10 +149,6 @@ struct Run {
   std::vector<double> proc_steps;       ///< finished processes' total steps
   std::size_t finished_procs = 0;       ///< bodies that ran to completion
   std::size_t crashed_procs = 0;        ///< bodies killed by crash injection
-  /// Proc backend: all-to-all gossip rounds until the survivors *observed*
-  /// telemetry convergence — always <= 3 (the constant-convergence bound,
-  /// enforced by RENAMELIB_ENSURE in every worker). 0 on other backends.
-  std::size_t gossip_rounds = 0;
   /// Hardware backend: per-op wall-clock latency in nanoseconds, recorded
   /// into a lock-free per-thread stats::LatencyRecorder (log-bucketed, no
   /// tail loss, O(1) memory in the op count). Empty (count 0) on the

@@ -36,7 +36,7 @@ namespace renamelib::obs {
 /// An immutable, mergeable view of per-site event counts. Algebraically a
 /// vector of monotone counters: merge is element-wise addition, delta is
 /// element-wise (saturating) subtraction — the same mergeability contract
-/// that makes stats::LatencySnapshot gossip-able across threads and runs.
+/// that lets stats::LatencySnapshot fold across threads, processes and runs.
 class EventSnapshot {
  public:
   EventSnapshot() { counts_.fill(0); }

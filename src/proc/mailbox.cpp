@@ -4,7 +4,6 @@
 #include <new>
 
 #include "core/assert.h"
-#include "proc/gossip.h"
 
 namespace renamelib::proc {
 namespace {
@@ -16,7 +15,6 @@ std::size_t Layout::bytes_for(int nproc, int ring_ops) {
   std::size_t b = align64(sizeof(Control));
   b += n * align64(sizeof(Mailbox));
   b += align64(n * static_cast<std::size_t>(ring_ops) * sizeof(OpSlot));
-  b += GossipGrid::bytes_for(nproc);
   return b + 64 * (n + 8);  // per-allocation alignment slack
 }
 
@@ -38,9 +36,6 @@ Layout Layout::create(ShmArena& arena, int nproc, int ring_ops) {
     l.rings = static_cast<OpSlot*>(arena.alloc(ring_bytes, 64));
     std::memset(static_cast<void*>(l.rings), 0, ring_bytes);
   }
-  l.gossip = arena.alloc(GossipGrid::bytes_for(nproc), 64);
-  GossipGrid grid(l.gossip, nproc);
-  grid.construct();
   return l;
 }
 

@@ -2,17 +2,17 @@
 /// \brief The shared-memory wire format of the proc backend: POD mirrors of
 /// the mergeable telemetry types (api::Metrics, stats::LatencySnapshot,
 /// obs::EventSnapshot), per-process mailboxes, crash-surviving op rings, and
-/// the control block (start barrier, crash plan, gossip release) — laid out
-/// into a ShmArena by Layout::create.
+/// the control block (start barrier, crash plan, kind table) — laid out into
+/// a ShmArena by Layout::create.
 ///
 /// Everything here is trivially-copyable, fixed-size, and self-contained
 /// (no pointers), because these structures are written in one process and
-/// read in another: a Contribution is copied *whole* between gossip tables,
-/// and an OpSlot written by a worker that is then SIGKILLed must still parse
-/// in the parent. The POD↔rich-type conversions are exact — LatencyPod
+/// read in another: a worker fills its Mailbox's Contribution and exits, and
+/// an OpSlot written by a worker that is then SIGKILLed must still parse in
+/// the parent. The POD↔rich-type conversions are exact — LatencyPod
 /// round-trips through LatencySnapshot::from_parts bit-for-bit, which is
-/// what makes the gossip-merged aggregate equal the per-process sums
-/// exactly (the acceptance bar for this backend).
+/// what makes the parent's fold of the survivors' mailboxes equal the
+/// per-process sums exactly (the acceptance bar for this backend).
 #pragma once
 
 #include <atomic>
@@ -25,8 +25,8 @@
 
 namespace renamelib::proc {
 
-/// Upper bound on Scenario::nproc for the proc backend: participant and
-/// origin sets travel as one u64 bitmask through the gossip protocol.
+/// Upper bound on Scenario::nproc for the proc backend: the size of the
+/// control block's fixed crash plan (Control::crash_at).
 inline constexpr int kMaxProcs = 64;
 
 /// Operation-kind string table in the control block. The harness uses at
@@ -35,7 +35,7 @@ inline constexpr int kMaxKinds = 8;
 inline constexpr int kKindLen = 24;
 
 /// POD mirror of api::Metrics (wall_seconds excluded: wall time is computed
-/// parent-side from the shared start stamp and the gossiped end stamps).
+/// parent-side from the shared start stamp and the mailboxes' end stamps).
 struct MetricsPod {
   std::uint64_t ops = 0;
   std::uint64_t steps = 0;
@@ -121,14 +121,10 @@ struct EventsPod {
   }
 };
 
-/// One process's finished-run result, keyed by origin pid — the replication
-/// unit of the gossip protocol. The payloads are *additive* (not
-/// idempotent), so gossip never merges two Contributions into one: nodes
-/// replicate whole per-origin entries (copy-if-unknown, which *is*
-/// idempotent) and fold them exactly once at the end.
+/// One surviving process's finished-run result; its mailbox index is its
+/// pid. The payloads are *additive*, so the parent folds each survivor's
+/// Contribution exactly once, in pid order.
 struct Contribution {
-  std::uint32_t origin = 0;    ///< pid whose run this describes
-  std::uint32_t finished = 1;  ///< body ran to completion
   double proc_steps = 0;       ///< the process's total paper-model steps
   std::uint64_t end_ns = 0;    ///< steady-clock stamp at publication
   MetricsPod metrics;
@@ -161,18 +157,15 @@ struct alignas(64) Mailbox {
 };
 
 /// The shared control block: start barrier, wall-clock origin, crash plan,
-/// survivor set, and the gossip release flag.
+/// and the operation-kind table.
 struct alignas(64) Control {
-  /// Sense-reversing barrier (start of run, then between gossip rounds).
+  /// One-shot start barrier: workers that have arrived, and the release flag
+  /// the last arrival sets.
   std::atomic<std::uint32_t> bar_count{0};
-  std::atomic<std::uint32_t> bar_sense{0};
+  std::atomic<std::uint32_t> bar_open{0};
   /// Steady-clock stamp taken by the barrier releaser at the start barrier —
   /// CLOCK_MONOTONIC is system-wide, so workers' end stamps subtract cleanly.
   std::atomic<std::uint64_t> start_ns{0};
-  /// Parent → survivors: the survivor set is final, gossip may begin.
-  std::atomic<std::uint32_t> gossip_go{0};
-  /// Bitmask of surviving pids (valid once gossip_go is set).
-  std::atomic<std::uint64_t> participants{0};
   /// Seed-derived crash plan, written by the parent before fork: pid p parks
   /// for SIGKILL after completing crash_at[p] operations; 0 = survivor.
   std::int64_t crash_at[kMaxProcs] = {};
@@ -188,7 +181,6 @@ struct Layout {
   Control* control = nullptr;
   Mailbox* mailboxes = nullptr;  ///< nproc mailboxes
   OpSlot* rings = nullptr;       ///< nproc * ring_ops slots; null when ring_ops == 0
-  void* gossip = nullptr;        ///< GossipGrid storage (gossip.h)
   int nproc = 0;
   int ring_ops = 0;  ///< ring capacity per process (0 = op samples off)
 

@@ -1,11 +1,12 @@
 #include "proc/proc_backend.h"
 
-#include <bit>
+#include <algorithm>
 #include <cerrno>
 #include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <string>
 #include <vector>
 
 #include <signal.h>
@@ -16,7 +17,6 @@
 #include "core/assert.h"
 #include "core/rng.h"
 #include "obs/emit.h"
-#include "proc/gossip.h"
 
 namespace renamelib::proc {
 namespace {
@@ -30,35 +30,28 @@ std::uint64_t now_ns() {
          static_cast<std::uint64_t>(ts.tv_nsec);
 }
 
-/// Supervision timeout: generous by default (covers sanitizer builds on
-/// loaded CI), overridable for tests via RENAMELIB_PROC_TIMEOUT_MS.
-std::uint64_t timeout_ns() {
-  if (const char* e = std::getenv("RENAMELIB_PROC_TIMEOUT_MS")) {
-    const long long ms = std::atoll(e);
-    if (ms > 0) return static_cast<std::uint64_t>(ms) * 1'000'000ULL;
-  }
-  return 120'000'000'000ULL;  // 120 s
-}
+/// Supervision deadline for the whole run and for the start barrier:
+/// generous, so sanitizer builds on a loaded machine still finish.
+constexpr std::uint64_t kTimeoutNs = 120'000'000'000ULL;  // 120 s
 
 void brief_sleep() {
   timespec ts{0, 100'000};  // 100 us
   ::nanosleep(&ts, nullptr);
 }
 
-/// Sense-reversing barrier over the control block, used for the start line
-/// (k = nproc; the releaser stamps the shared wall-clock origin) and between
-/// gossip rounds (k = survivors). A stuck barrier aborts instead of hanging
-/// the whole tree.
-void barrier_wait(Control& ctl, std::uint32_t k, bool stamp_start) {
-  const std::uint32_t sense = ctl.bar_sense.load(std::memory_order_acquire);
-  if (ctl.bar_count.fetch_add(1, std::memory_order_acq_rel) + 1 == k) {
-    if (stamp_start) ctl.start_ns.store(now_ns(), std::memory_order_relaxed);
-    ctl.bar_count.store(0, std::memory_order_relaxed);
-    ctl.bar_sense.store(sense ^ 1, std::memory_order_release);
+/// One-shot start line for the lay.nproc workers: the last to arrive stamps
+/// the shared wall-clock origin and opens the gate. A gate that never opens
+/// aborts instead of hanging the whole tree.
+void start_barrier(const Layout& lay) {
+  Control& ctl = *lay.control;
+  if (ctl.bar_count.fetch_add(1, std::memory_order_acq_rel) + 1 ==
+      static_cast<std::uint32_t>(lay.nproc)) {
+    ctl.start_ns.store(now_ns(), std::memory_order_relaxed);
+    ctl.bar_open.store(1, std::memory_order_release);
     return;
   }
-  const std::uint64_t deadline = now_ns() + timeout_ns();
-  while (ctl.bar_sense.load(std::memory_order_acquire) == sense) {
+  const std::uint64_t deadline = now_ns() + kTimeoutNs;
+  while (ctl.bar_open.load(std::memory_order_acquire) == 0) {
     RENAMELIB_ENSURE(now_ns() < deadline,
                      "proc backend: barrier timed out (a sibling process "
                      "died or wedged)");
@@ -113,43 +106,6 @@ void fill_kind_table(Control& ctl, const api::Scenario& s) {
   }
 }
 
-/// Worker-side epilogue: the 3-round gossip protocol (see gossip.h).
-void run_gossip_as(const Layout& lay, int pid) {
-  Control& ctl = *lay.control;
-  const std::uint64_t deadline = now_ns() + timeout_ns();
-  while (ctl.gossip_go.load(std::memory_order_acquire) == 0) {
-    RENAMELIB_ENSURE(now_ns() < deadline,
-                     "proc backend: worker timed out waiting for the gossip "
-                     "release");
-    brief_sleep();
-  }
-  const std::uint64_t participants =
-      ctl.participants.load(std::memory_order_acquire);
-  RENAMELIB_ENSURE((participants >> pid) & 1,
-                   "surviving worker missing from the participant set");
-  const auto k = static_cast<std::uint32_t>(std::popcount(participants));
-  GossipGrid grid(lay.gossip, lay.nproc);
-  gossip_publish(grid, pid, lay.mail(pid).contrib);
-  barrier_wait(ctl, k, false);
-  std::uint64_t rounds = 1;
-  bool converged = false;
-  for (std::uint64_t r = 2; r <= kMaxGossipRounds && !converged; ++r) {
-    gossip_exchange(grid, pid, participants, r);
-    barrier_wait(ctl, k, false);
-    rounds = r;
-    // All survivors read the same post-barrier state, so they reach the
-    // same verdict — the confirmation read is the protocol's final round.
-    if (gossip_converged(grid, participants, r)) {
-      rounds = r + 1;
-      converged = true;
-    }
-  }
-  RENAMELIB_ENSURE(converged, "gossip failed to converge");
-  RENAMELIB_ENSURE(rounds <= 3,
-                   "gossip exceeded the constant 3-round convergence bound");
-  grid.node(pid).done_rounds.store(rounds, std::memory_order_release);
-}
-
 [[noreturn]] void child_main(const Layout& lay, int pid,
                              const api::Scenario& s,
                              const std::function<void(Ctx&)>& body) {
@@ -158,10 +114,8 @@ void run_gossip_as(const Layout& lay, int pid) {
     Worker worker(lay, pid, lay.control->crash_at[pid]);
     g_worker = &worker;
     Ctx ctx(pid, Rng::derive(s.seed, static_cast<std::uint64_t>(pid)));
-    barrier_wait(*lay.control, static_cast<std::uint32_t>(s.nproc),
-                 /*stamp_start=*/true);
+    start_barrier(lay);
     body(ctx);  // victims never return: publish_op parks them for SIGKILL
-    run_gossip_as(lay, pid);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "renamelib proc worker %d: %s\n", pid, e.what());
     std::_Exit(70);
@@ -175,8 +129,13 @@ void run_gossip_as(const Layout& lay, int pid) {
   std::_Exit(0);
 }
 
-void fail_child_status(int pid, int status) {
+/// Why a reaped worker's wait status is not the one its role requires.
+std::string describe_exit(int status, bool victim) {
   char why[96];
+  if (WIFEXITED(status) && WEXITSTATUS(status) == 0) {
+    return victim ? "exited cleanly instead of dying by SIGKILL"
+                  : "exited without publishing its contribution";
+  }
   if (WIFSIGNALED(status)) {
     std::snprintf(why, sizeof(why), "killed by signal %d", WTERMSIG(status));
   } else if (WIFEXITED(status)) {
@@ -185,8 +144,7 @@ void fail_child_status(int pid, int status) {
   } else {
     std::snprintf(why, sizeof(why), "unrecognized wait status %d", status);
   }
-  std::fprintf(stderr, "renamelib proc backend: worker %d %s\n", pid, why);
-  RENAMELIB_ENSURE(false, "proc backend: a worker process died unexpectedly");
+  return why;
 }
 
 }  // namespace
@@ -250,8 +208,6 @@ void Worker::publish_done(const api::Metrics& m,
                           std::uint64_t proc_steps) {
   Mailbox& mb = layout_.mail(pid_);
   Contribution& c = mb.contrib;
-  c.origin = static_cast<std::uint32_t>(pid_);
-  c.finished = 1;
   c.proc_steps = static_cast<double>(proc_steps);
   c.end_ns = now_ns();
   api::Metrics mm = m;
@@ -278,11 +234,7 @@ void run_proc(const api::Scenario& s, const std::function<void(Ctx&)>& body,
   Control& ctl = *lay.control;
   fill_kind_table(ctl, s);
   const std::vector<std::int64_t> crash_at = derive_crash_plan(s);
-  std::vector<int> victims;
-  for (int p = 0; p < s.nproc; ++p) {
-    ctl.crash_at[p] = crash_at[static_cast<std::size_t>(p)];
-    if (crash_at[static_cast<std::size_t>(p)] > 0) victims.push_back(p);
-  }
+  std::copy(crash_at.begin(), crash_at.end(), ctl.crash_at);
 
   // Flush before fork so buffered output is not duplicated into children.
   std::fflush(stdout);
@@ -298,112 +250,80 @@ void run_proc(const api::Scenario& s, const std::function<void(Ctx&)>& body,
     pids[static_cast<std::size_t>(p)] = pid;
   }
 
-  std::vector<bool> reaped(static_cast<std::size_t>(s.nproc), false);
-  // Any child transition the parent did not orchestrate is a failure; this
-  // is what turns a worker's abort/segfault into a diagnosable test failure
-  // instead of a supervision timeout.
-  auto check_unexpected = [&] {
-    for (int p = 0; p < s.nproc; ++p) {
-      if (reaped[static_cast<std::size_t>(p)]) continue;
-      int status = 0;
-      const pid_t w = ::waitpid(pids[static_cast<std::size_t>(p)], &status,
-                                WNOHANG);
-      if (w > 0) {
-        reaped[static_cast<std::size_t>(p)] = true;
-        fail_child_status(p, status);
+  // Supervision, under one deadline: SIGKILL each victim once it parks at
+  // its crash point, and reap every child as it exits. A victim must die by
+  // SIGKILL; a survivor must exit 0 with its mailbox ready. Anything else
+  // fails the run, after killing the rest so no worker outlives it (a
+  // parked victim would otherwise spin forever).
+  const auto nproc = static_cast<std::size_t>(s.nproc);
+  std::vector<bool> killed(nproc, false), reaped(nproc, false);
+  auto fail = [&](const std::string& why) {
+    for (std::size_t q = 0; q < nproc; ++q) {
+      if (reaped[q]) continue;
+      ::kill(pids[q], SIGKILL);
+      while (::waitpid(pids[q], nullptr, 0) < 0 && errno == EINTR) {
       }
     }
+    std::fprintf(stderr, "renamelib proc backend: %s\n", why.c_str());
+    RENAMELIB_ENSURE(false, "proc backend: supervision failed");
   };
-  const std::uint64_t deadline = now_ns() + timeout_ns();
-  auto poll = [&](const std::function<bool()>& pred, const char* what) {
-    while (!pred()) {
-      check_unexpected();
-      RENAMELIB_ENSURE(now_ns() < deadline, what);
-      brief_sleep();
+  const std::uint64_t deadline = now_ns() + kTimeoutNs;
+  for (std::size_t live = nproc; live > 0;) {
+    bool progressed = false;
+    for (std::size_t p = 0; p < nproc; ++p) {
+      if (reaped[p]) continue;
+      const Mailbox& m = lay.mail(static_cast<int>(p));
+      const bool victim = crash_at[p] > 0;
+      if (victim && !killed[p] &&
+          m.parked.load(std::memory_order_acquire) != 0) {
+        // Real crash injection at the seed-derived op count.
+        ::kill(pids[p], SIGKILL);
+        killed[p] = true;
+      }
+      int status = 0;
+      const pid_t w = ::waitpid(pids[p], &status, WNOHANG);
+      if (w == 0 || (w < 0 && errno == EINTR)) continue;
+      if (w < 0) fail("waitpid failed on worker " + std::to_string(p));
+      reaped[p] = true;
+      --live;
+      progressed = true;
+      const bool ok =
+          victim ? killed[p] && WIFSIGNALED(status) &&
+                       WTERMSIG(status) == SIGKILL
+                 : WIFEXITED(status) && WEXITSTATUS(status) == 0 &&
+                       m.ready.load(std::memory_order_acquire) != 0;
+      if (!ok) {
+        fail("worker " + std::to_string(p) + " " +
+             describe_exit(status, victim));
+      }
     }
-  };
-
-  // Phase 1 — real crash injection: wait for each victim to park at its
-  // seed-derived op count, then SIGKILL and reap it.
-  for (const int v : victims) {
-    Mailbox& m = lay.mail(v);
-    poll([&] { return m.parked.load(std::memory_order_acquire) != 0; },
-         "proc backend: timed out waiting for a crash victim to reach its "
-         "crash point");
-    ::kill(pids[static_cast<std::size_t>(v)], SIGKILL);
-    int status = 0;
-    pid_t w;
-    do {
-      w = ::waitpid(pids[static_cast<std::size_t>(v)], &status, 0);
-    } while (w < 0 && errno == EINTR);
-    RENAMELIB_ENSURE(w == pids[static_cast<std::size_t>(v)] &&
-                         WIFSIGNALED(status) && WTERMSIG(status) == SIGKILL,
-                     "proc backend: crash victim did not die by SIGKILL");
-    reaped[static_cast<std::size_t>(v)] = true;
-  }
-
-  // Phase 2 — survivors publish their Contributions.
-  std::uint64_t participants = 0;
-  for (int p = 0; p < s.nproc; ++p) {
-    if (crash_at[static_cast<std::size_t>(p)] > 0) continue;
-    participants |= 1ULL << p;
-    Mailbox& m = lay.mail(p);
-    poll([&] { return m.ready.load(std::memory_order_acquire) != 0; },
-         "proc backend: timed out waiting for a worker's contribution");
-  }
-
-  // Phase 3 — release the gossip: the survivor set is final.
-  ctl.participants.store(participants, std::memory_order_release);
-  ctl.gossip_go.store(1, std::memory_order_release);
-
-  // Phase 4 — reap survivors (they _exit(0) after convergence).
-  for (int p = 0; p < s.nproc; ++p) {
-    if (reaped[static_cast<std::size_t>(p)]) continue;
-    int status = 0;
-    pid_t w;
-    do {
-      w = ::waitpid(pids[static_cast<std::size_t>(p)], &status, 0);
-    } while (w < 0 && errno == EINTR);
-    reaped[static_cast<std::size_t>(p)] = true;
-    if (!(w > 0 && WIFEXITED(status) && WEXITSTATUS(status) == 0)) {
-      fail_child_status(p, status);
+    if (live == 0) break;
+    if (now_ns() >= deadline) {
+      fail("timed out waiting for the workers to finish");
     }
+    if (!progressed) brief_sleep();
   }
 
-  // Phase 5 — verify convergence and fold ONE converged table into the Run.
-  GossipGrid grid(lay.gossip, lay.nproc);
-  RENAMELIB_ENSURE(gossip_converged(grid, participants, 2),
-                   "proc backend: gossip tables not converged after all "
-                   "survivors exited");
-  std::uint64_t rounds = 0;
-  int first_survivor = -1;
-  for (int p = 0; p < s.nproc; ++p) {
-    if ((participants >> p & 1) == 0) continue;
-    if (first_survivor < 0) first_survivor = p;
-    const std::uint64_t r =
-        grid.node(p).done_rounds.load(std::memory_order_acquire);
-    RENAMELIB_ENSURE(r != 0 && r <= 3,
-                     "proc backend: a survivor exceeded the 3-round bound");
-    RENAMELIB_ENSURE(rounds == 0 || rounds == r,
-                     "proc backend: survivors disagree on the round count");
-    rounds = r;
+  // Fold each survivor's mailbox once, in pid order.
+  std::uint64_t max_end_ns = 0;
+  for (std::size_t p = 0; p < nproc; ++p) {
+    if (crash_at[p] > 0) continue;
+    const Contribution& c = lay.mail(static_cast<int>(p)).contrib;
+    c.metrics.merge_into(run.metrics);
+    run.latency.merge(c.latency.load());
+    run.events.merge(c.events.load());
+    run.proc_steps.push_back(c.proc_steps);
+    max_end_ns = std::max(max_end_ns, c.end_ns);
   }
-  RENAMELIB_ENSURE(first_survivor >= 0, "proc backend: no survivors");
-  const GossipFold fold = gossip_fold(grid, first_survivor, participants);
-  run.metrics = fold.metrics;
-  run.latency = fold.latency;
-  run.events = fold.events;
-  run.proc_steps = fold.proc_steps;
-  run.finished_procs = fold.finished;
-  run.crashed_procs = victims.size();
-  run.gossip_rounds = rounds;
+  run.finished_procs = run.proc_steps.size();
+  run.crashed_procs = nproc - run.finished_procs;
   const std::uint64_t start_ns = ctl.start_ns.load(std::memory_order_relaxed);
-  if (fold.max_end_ns > start_ns && start_ns != 0) {
+  if (max_end_ns > start_ns && start_ns != 0) {
     run.metrics.wall_seconds =
-        static_cast<double>(fold.max_end_ns - start_ns) / 1e9;
+        static_cast<double>(max_end_ns - start_ns) / 1e9;
   }
 
-  // Phase 6 — per-op samples from the crash-surviving rings (victims'
+  // Per-op samples from the crash-surviving rings (victims'
   // completed ops included; see the file comment in proc_backend.h).
   if (ring_ops > 0) {
     for (int p = 0; p < s.nproc; ++p) {

@@ -15,20 +15,18 @@
 ///                                metered op loop:
 ///                                  publish_op → ring[p] (crash-surviving)
 ///                                  victim at crash_at[p] ops: park, spin
-///   poll parked victims
-///   kill(SIGKILL) + reap   ───▶  (victim dies mid-run, for real)
-///   poll survivors ready   ◀───  publish_done → mailbox Contribution
-///   participants + gossip_go ─▶  3-round all-to-all gossip (gossip.h)
-///   reap survivors (exit 0)◀───  _exit(0)
-///   assert convergence ≤ 3 rounds
-///   fold ONE converged table → Run
+///   supervise until all reaped:
+///     parked victim → SIGKILL ─▶  (victim dies mid-run, for real)
+///     survivor exit 0 + ready ◀──  publish_done → mailbox, _exit(0)
+///   fold survivors' mailboxes,
+///   pid order → Run
 ///
-/// Aggregate metrics come exclusively from the gossip fold — the parent
-/// never sums workers' mailboxes itself. The only direct mailbox reads are
-/// the per-op sample rings (Run::ops), which necessarily include the
-/// SIGKILLed victims' completed operations: dead processes cannot gossip,
-/// but their published ops are exactly what the facet conformance
-/// predicates must see (a killed worker's acquired names stay held).
+/// Aggregate metrics (Run::metrics, latency, events, proc_steps) are the
+/// parent's one fold of the survivors' mailbox Contributions; a SIGKILLed
+/// victim never publishes one. The per-op sample rings (Run::ops) are read
+/// for every worker, victims included: a killed process's completed ops are
+/// exactly what the facet conformance predicates must see (a killed
+/// worker's acquired names stay held).
 ///
 /// Survivor results feed the *unchanged* conformance predicates; the lease
 /// broker's epoch-tagged per-pid slots make a victim's escrowed range
@@ -49,11 +47,12 @@ namespace renamelib::proc {
 std::size_t default_arena_bytes(const api::Scenario& s);
 
 /// Runs `body` (one call per process, pid-indexed Ctx) in s.nproc forked
-/// processes over ShmArena::current(), then fills `run` from the
-/// gossip-converged aggregate. Requires a live arena; the object the body
+/// processes over ShmArena::current(), then fills `run` from the survivors'
+/// mailboxes. Requires a live arena; the object the body
 /// closes over must live inside it. Crash injection per s.crashes: victims
 /// are SIGKILLed at seed-derived op counts, reaped, and counted in
-/// run.crashed_procs.
+/// run.crashed_procs. Aborts, naming the worker, if a victim dies any other
+/// way or a survivor exits without publish_done or with a nonzero status.
 void run_proc(const api::Scenario& s, const std::function<void(Ctx&)>& body,
               api::Run& run);
 
@@ -73,7 +72,8 @@ class Worker {
 
   /// Publishes the finished-run Contribution: metrics, the latency
   /// snapshot, the run's event-bus delta (relative to the fork point), and
-  /// the process's total paper-model steps.
+  /// the process's total paper-model steps. The worker exits as soon as its
+  /// body returns, so this is its last act.
   void publish_done(const api::Metrics& m, const stats::LatencySnapshot& lat,
                     std::uint64_t proc_steps);
 

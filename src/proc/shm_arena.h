@@ -1,7 +1,7 @@
 /// \file
 /// \brief POSIX shared-memory arena: the placement layer that puts a
-/// registry-built shared object (and the proc backend's mailboxes, gossip
-/// tables, and barriers) into memory that survives fork() as *shared* pages.
+/// registry-built shared object (and the proc backend's mailboxes, op rings,
+/// and start barrier) into memory that survives fork() as *shared* pages.
 ///
 /// The multi-process backend (proc_backend.h) runs one OS process per
 /// scenario pid. fork() gives children copy-on-write copies of the parent's
@@ -84,7 +84,7 @@ class ShmArena {
   const std::string& name() const noexcept { return name_; }
 
   /// The most recently constructed still-live arena (nullptr outside a proc
-  /// run). The proc backend lays its mailboxes/gossip region out here.
+  /// run). The proc backend lays its mailboxes and op rings out here.
   static ShmArena* current() noexcept;
 
   /// The arena the calling thread's innermost ArenaScope routes into, or

@@ -1,12 +1,17 @@
 // The multi-process backend end to end: forked workers over a shared arena,
-// gossip-merged telemetry, and real SIGKILL crash injection.
+// the parent's fold of the survivors' mailboxes, and real SIGKILL crash
+// injection.
 //
-//   * crash-free exactness — the gossip-merged aggregate equals the
-//     per-process sums bit-for-bit (op counts, step sums, latency count),
-//     convergence observed in exactly 3 rounds,
+//   * crash-free exactness — the folded aggregate equals the per-process
+//     sums bit-for-bit (op counts, step sums, latency count),
 //   * event oracle — bitonic_countnet's balancer traversals are
-//     data-independent, so the gossip-merged kNetBalancer count must equal
+//     data-independent, so the folded kNetBalancer count must equal
 //     ops × depth exactly, for any process count,
+//   * the kMaxProcs edge — 64 workers with one killed fill every mailbox
+//     and crash-plan slot, and nproc = kMaxProcs + 1 is refused before any
+//     fork,
+//   * supervision — a survivor that exits without publishing its
+//     contribution aborts the run, naming the worker,
 //   * conformance sweep — every registry entry keeps its facet predicate
 //     under backend=proc, including the ones that grow shared state
 //     mid-operation: their NodePool captured the arena at construction, so
@@ -61,18 +66,17 @@ TEST(ProcBackend, CrashFreeCounterAggregateIsExact) {
       Workload::run_facet_spec(Facet::kCounter, "atomic_fai", s);
   const std::uint64_t total = 4 * 64;
 
-  // The gossip-merged op count equals the per-process sums bit-for-bit:
-  // every ring sample is accounted for, nothing double-counted.
+  // The folded op count equals the per-process sums bit-for-bit: every
+  // ring sample is accounted for, nothing double-counted.
   EXPECT_EQ(run.metrics.ops, total);
   EXPECT_EQ(run.ops.size(), total);
-  EXPECT_EQ(run.gossip_rounds, 3u);
   EXPECT_EQ(run.finished_procs, 4u);
   EXPECT_EQ(run.crashed_procs, 0u);
   EXPECT_EQ(run.proc_steps.size(), 4u);
   EXPECT_GT(run.metrics.wall_seconds, 0.0);
   EXPECT_EQ(run.latency.count(), total);
 
-  // Summing the per-op ring samples reproduces the gossiped step total.
+  // Summing the per-op ring samples reproduces the folded step total.
   std::uint64_t step_sum = 0;
   for (const api::OpSample& op : run.ops) step_sum += op.steps;
   EXPECT_EQ(step_sum, run.metrics.steps);
@@ -94,11 +98,11 @@ TEST(ProcBackend, CrashFreeCounterAggregateIsExact) {
   }
 }
 
-TEST(ProcBackend, GossipMergedEventsMatchTheBalancerOracle) {
+TEST(ProcBackend, FoldedEventsMatchTheBalancerOracle) {
   // kNetBalancer fires once per balancer traversal and bitonic networks are
   // data-independent: every op crosses exactly `depth` balancers, so the
   // event count is a closed-form oracle. Derive depth from a 1-process run,
-  // then demand the 4-process gossip-merged count match it exactly.
+  // then demand the 4-process folded count match it exactly.
   obs::EventBus::set_enabled(true);
   obs::EventBus::instance().reset();
 
@@ -112,9 +116,63 @@ TEST(ProcBackend, GossipMergedEventsMatchTheBalancerOracle) {
   const api::Run r4 = Workload::run_facet_spec(
       Facet::kCounter, "bitonic_countnet", proc_scenario(4, 8, 3));
   EXPECT_EQ(r4.events.count(obs::Site::kNetBalancer), depth * 4 * 8);
-  EXPECT_EQ(r4.gossip_rounds, 3u);
 
   obs::EventBus::set_enabled(false);
+}
+
+TEST(ProcBackend, MaxProcsCounterRunIsExact) {
+  // kMaxProcs workers, one SIGKILLed: the last mailbox, ring and crash-plan
+  // slot are all in use.
+  Scenario s = proc_scenario(kMaxProcs, 4, 13);
+  s.crashes.max_crashes = 1;
+  const api::Run run =
+      Workload::run_facet_spec(Facet::kCounter, "atomic_fai", s);
+  const std::uint64_t survivors = kMaxProcs - 1;
+
+  EXPECT_EQ(run.crashed_procs, 1u);
+  EXPECT_EQ(run.finished_procs, survivors);
+  EXPECT_EQ(run.proc_steps.size(), survivors);
+  EXPECT_EQ(run.metrics.ops, survivors * 4);
+  EXPECT_EQ(run.latency.count(), survivors * 4);
+  // The victim completed 1..4 ops before its kill, all in its ring.
+  EXPECT_GT(run.ops.size(), survivors * 4);
+  EXPECT_LE(run.ops.size(), std::size_t{kMaxProcs} * 4);
+  std::map<int, std::uint64_t> per_pid;
+  for (const api::OpSample& op : run.ops) per_pid[op.pid] += 1;
+  EXPECT_EQ(per_pid.size(), std::size_t{kMaxProcs});
+  const auto values = run.values();
+  const std::set<std::uint64_t> distinct(values.begin(), values.end());
+  EXPECT_EQ(distinct.size(), values.size());
+}
+
+TEST(ProcBackendDeathTest, MoreThanMaxProcsIsRefusedBeforeFork) {
+  EXPECT_DEATH(
+      {
+        const Scenario s = proc_scenario(kMaxProcs + 1, 1, 1);
+        ShmArena arena(default_arena_bytes(s), s.seed);
+        api::Run run;
+        run_proc(s, [](Ctx&) {}, run);
+      },
+      "at most kMaxProcs processes");
+}
+
+TEST(ProcBackendDeathTest, UnpublishedSurvivorAbortsNamingTheWorker) {
+  // Workers 0 and 2 publish; worker 1 returns without publish_done and
+  // exits 0, which the parent must refuse rather than wait out.
+  EXPECT_DEATH(
+      {
+        const Scenario s = proc_scenario(3, 1, 1);
+        ShmArena arena(default_arena_bytes(s), s.seed);
+        api::Run run;
+        run_proc(
+            s,
+            [](Ctx& ctx) {
+              if (ctx.pid() == 1) return;
+              Worker::current()->publish_done(api::Metrics{}, {}, 0);
+            },
+            run);
+      },
+      "worker 1 exited without publishing its contribution");
 }
 
 /// Every entry of `entries`, by name, at its default options.
@@ -134,7 +192,6 @@ TEST(ProcConformance, CountersStayDistinctUnderProc) {
     const api::Run run = Workload::run_facet_spec(Facet::kCounter, spec, s);
     EXPECT_EQ(run.metrics.ops, 128u) << spec;
     EXPECT_EQ(run.ops.size(), 128u) << spec;
-    EXPECT_EQ(run.gossip_rounds, 3u) << spec;
     const auto values = run.values();
     const std::set<std::uint64_t> distinct(values.begin(), values.end());
     EXPECT_EQ(distinct.size(), values.size())
@@ -153,7 +210,6 @@ TEST(ProcConformance, RenamingsStayUniqueUnderProc) {
     const Scenario s = proc_scenario(4, 8, 23);
     const api::Run run = Workload::run_facet_spec(Facet::kRenaming, spec, s);
     EXPECT_EQ(run.ops.size(), 32u) << spec;
-    EXPECT_EQ(run.gossip_rounds, 3u) << spec;
     // Hold-all acquires: every name unique, names start at 1.
     const auto values = run.values();
     const std::set<std::uint64_t> distinct(values.begin(), values.end());
@@ -207,7 +263,6 @@ TEST(ProcConformance, ReadableMixKeepsItsKindsUnderProc) {
     const Scenario s = proc_scenario(4, 30, 29);
     const api::Run run = Workload::run_facet_spec(Facet::kReadable, spec, s);
     EXPECT_EQ(run.ops.size(), 120u) << spec;
-    EXPECT_EQ(run.gossip_rounds, 3u) << spec;
     // 2:1 inc/read mix (every third op reads): 20 incs + 10 reads per
     // process, kinds round-tripped through the shared kind table.
     EXPECT_EQ(run.values_of("inc").size(), 80u) << spec;
@@ -227,12 +282,11 @@ TEST(ProcCrash, VictimDiesBySigkillAndSurvivorsStayExact) {
 
   EXPECT_EQ(run.crashed_procs, 2u);
   EXPECT_EQ(run.finished_procs, 4u);
-  EXPECT_EQ(run.gossip_rounds, 3u);
-  // Gossip aggregates are survivors-only (dead processes cannot gossip):
-  // exactly the four finishers' ops.
+  // The folded aggregates are survivors-only (a killed process never
+  // publishes its mailbox): exactly the four finishers' ops.
   EXPECT_EQ(run.metrics.ops, 4u * 24u);
   // The crash-surviving rings additionally carry the victims' completed
-  // ops: more samples than the gossiped count, fewer than a full run.
+  // ops: more samples than the folded count, fewer than a full run.
   EXPECT_GT(run.ops.size(), 4u * 24u);
   EXPECT_LT(run.ops.size(), 6u * 24u);
   // Uniqueness must hold across survivors *and* the victims' published
@@ -270,7 +324,6 @@ TEST(ProcCrash, KilledLeaseHolderEscrowIsReclaimedToZeroHolders) {
   });
   EXPECT_EQ(run.crashed_procs, 2u);
   EXPECT_EQ(run.finished_procs, 4u);
-  EXPECT_EQ(run.gossip_rounds, 3u);
 
   // Unchanged facet predicates over the churn: names stay in the
   // quota-scaled inner bound, for survivors and victims alike.

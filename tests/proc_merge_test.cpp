@@ -1,14 +1,11 @@
-// The proc backend's telemetry algebra and gossip protocol, without forking:
+// The proc backend's telemetry algebra, without forking:
 //
 //   * merge algebra — EventSnapshot / LatencySnapshot / Metrics merges are
 //     commutative, associative, and order-insensitive (the property that
-//     makes the telemetry gossip-able at all),
+//     lets the parent fold the survivors' mailboxes in any order),
 //   * POD round-trips — the shared-memory mirrors (MetricsPod, LatencyPod,
 //     EventsPod) reproduce the rich types bit-for-bit, so nothing is lost
-//     crossing the process boundary,
-//   * constant convergence — run_gossip_inproc over N ∈ {1, 2, 4, 8, 16}
-//     converges in exactly 3 rounds and every node's fold equals a
-//     directly-summed oracle on every field, bucket, and event cell.
+//     crossing the process boundary.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -16,7 +13,6 @@
 
 #include "api/metrics.h"
 #include "obs/event_bus.h"
-#include "proc/gossip.h"
 #include "proc/mailbox.h"
 #include "stats/latency_recorder.h"
 
@@ -59,19 +55,6 @@ api::Metrics metrics_of(std::uint64_t seed) {
   m.max_op_steps = mix(seed + 4) % 64 + 1;
   m.max_proc_steps = mix(seed + 5) % 9000 + 1;
   return m;
-}
-
-Contribution contribution_of(int origin) {
-  const std::uint64_t s = 0x1000 + static_cast<std::uint64_t>(origin) * 977;
-  Contribution c;
-  c.origin = static_cast<std::uint32_t>(origin);
-  c.finished = 1;
-  c.proc_steps = static_cast<double>(mix(s + 6) % 100'000);
-  c.end_ns = mix(s + 7) % 1'000'000'000;
-  c.metrics.store(metrics_of(s));
-  c.latency.store(latency_of(s, 40 + origin));
-  c.events.store(events_of(s));
-  return c;
 }
 
 void expect_latency_eq(const stats::LatencySnapshot& a,
@@ -161,73 +144,6 @@ TEST(MergeAlgebra, MetricsPodRoundTripsThroughMergeInto) {
   api::Metrics back;
   pod.merge_into(back);
   expect_metrics_eq(back, m);
-}
-
-/// The acceptance bar for the gossip merger: for every N, the protocol
-/// observes convergence in exactly 3 rounds (publish, exchange, confirm) and
-/// every participant's fold equals the directly-summed oracle bit-for-bit.
-TEST(GossipConvergence, ThreeRoundsAndExactFoldForAllN) {
-  for (const int n : {1, 2, 4, 8, 16}) {
-    std::vector<Contribution> contribs;
-    for (int i = 0; i < n; ++i) contribs.push_back(contribution_of(i));
-
-    // Oracle: one direct fold in ascending-origin order, no gossip involved.
-    api::Metrics om;
-    stats::LatencySnapshot ol;
-    obs::EventSnapshot oe;
-    std::vector<double> osteps;
-    std::uint64_t oend = 0;
-    for (const Contribution& c : contribs) {
-      c.metrics.merge_into(om);
-      ol.merge(c.latency.load());
-      oe.merge(c.events.load());
-      osteps.push_back(c.proc_steps);
-      if (c.end_ns > oend) oend = c.end_ns;
-    }
-
-    const GossipOutcome out = run_gossip_inproc(contribs);
-    EXPECT_EQ(out.rounds, 3u) << "n=" << n;
-    ASSERT_EQ(out.folds.size(), static_cast<std::size_t>(n)) << "n=" << n;
-    for (int i = 0; i < n; ++i) {
-      const GossipFold& f = out.folds[static_cast<std::size_t>(i)];
-      expect_metrics_eq(f.metrics, om);
-      expect_latency_eq(f.latency, ol);
-      EXPECT_EQ(f.events, oe) << "n=" << n << " node=" << i;
-      EXPECT_EQ(f.proc_steps, osteps) << "n=" << n << " node=" << i;
-      EXPECT_EQ(f.finished, static_cast<std::size_t>(n));
-      EXPECT_EQ(f.max_end_ns, oend);
-    }
-  }
-}
-
-/// Re-running an exchange round must not double-count the additive payloads:
-/// entry replication is copy-if-unknown, which is idempotent.
-TEST(GossipConvergence, RepeatedExchangeIsIdempotent) {
-  const int n = 4;
-  std::vector<char> storage(GossipGrid::bytes_for(n) + 64);
-  void* base = storage.data();
-  // Align the wrapped region to the 64-byte stride the grid assumes.
-  auto addr = reinterpret_cast<std::uintptr_t>(base);
-  base = reinterpret_cast<void*>((addr + 63) & ~std::uintptr_t{63});
-  GossipGrid g(base, n);
-  g.construct();
-
-  const std::uint64_t everyone = (1ULL << n) - 1;
-  std::vector<Contribution> contribs;
-  for (int i = 0; i < n; ++i) contribs.push_back(contribution_of(i));
-  for (int i = 0; i < n; ++i) {
-    gossip_publish(g, i, contribs[static_cast<std::size_t>(i)]);
-  }
-  for (int i = 0; i < n; ++i) gossip_exchange(g, i, everyone, 2);
-  const GossipFold once = gossip_fold(g, 0, everyone);
-  // A whole spurious extra round: every fold must be unchanged.
-  for (int i = 0; i < n; ++i) gossip_exchange(g, i, everyone, 3);
-  const GossipFold twice = gossip_fold(g, 0, everyone);
-
-  expect_metrics_eq(once.metrics, twice.metrics);
-  expect_latency_eq(once.latency, twice.latency);
-  EXPECT_EQ(once.events, twice.events);
-  EXPECT_EQ(once.proc_steps, twice.proc_steps);
 }
 
 }  // namespace

@@ -74,8 +74,8 @@ int usage(std::ostream& out, int code) {
          "            --events records per-site event counts on the obs\n"
          "            event bus and attaches them to the report runs;\n"
          "            --backend=proc forks --threads OS processes over a\n"
-         "            shared-memory arena (telemetry gossip-merged, and\n"
-         "            --crashes=N SIGKILLs N workers mid-run for real)\n";
+         "            shared-memory arena (the parent folds the survivors'\n"
+         "            mailboxes; --crashes=N SIGKILLs N workers mid-run)\n";
   return code;
 }
 
@@ -374,11 +374,10 @@ int cmd_run(Args& args) {
       if (run.crashed_procs > 0) {
         human << " (" << run.crashed_procs << " killed)";
       }
-      human << ", gossip converged in " << run.gossip_rounds << " rounds";
     }
     human << "\n";
     // On the proc backend both the metrics above and this table are the
-    // gossip-merged aggregate — no coordinator ever summed the workers.
+    // parent's fold of the survivors' mailboxes.
     if (events) print_events_table(human, run);
   } else {
     if (!smoke) {

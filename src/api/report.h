@@ -1,15 +1,16 @@
 /// \file
-/// \brief Machine-readable bench reports: the JSON contract every bench
-/// binary emits behind `--json=FILE`.
+/// \brief Machine-readable bench reports: the JSON contract `renamectl run`
+/// and bench_lease emit behind `--json=FILE`.
 ///
 /// The paper's performance claims only become a recorded trajectory if every
 /// bench leaves a machine-readable artifact. A BenchReport is one binary's
 /// worth of runs: each run names the experiment, the registry spec it
 /// measured, the backend and thread count, throughput, and the full
 /// tail-faithful latency recording (stats::LatencySnapshot — exact moments,
-/// percentile table, sparse log-bucket histogram). `to_json`/`from_json`
-/// round-trip losslessly, so tools/bench_compare.py can diff two report
-/// files and CI can track regressions across commits.
+/// percentile table, sparse log-bucket histogram). This file only writes
+/// reports; tools/bench_compare.py is their one reader: it validates the
+/// schema, diffs two report files, and lets CI track regressions across
+/// commits.
 ///
 /// Schema (kSchema = "renamelib.bench_report.v1"):
 /// \verbatim
@@ -34,11 +35,10 @@
 /// \endverbatim
 /// `unit` says what the latency values measure: "ns" (hardware wall clock)
 /// or "steps" (paper cost model, simulated backend). `mean`/`p*` are derived
-/// from `count`..`buckets` and ignored on parse, as are keys outside the
-/// schema. `events` is the run's obs::EventBus delta, keyed by obs::site_name
-/// and carrying only nonzero counts; it is emitted only when nonempty and
-/// optional on parse (default empty), so runs recorded with the bus off
-/// carry no `events` key at all.
+/// from `count`..`buckets`. `events` is the run's obs::EventBus delta, keyed
+/// by obs::site_name and carrying only nonzero counts; it is emitted only
+/// when nonempty, so runs recorded with the bus off carry no `events` key at
+/// all.
 #pragma once
 
 #include <cstdint>
@@ -68,8 +68,8 @@ struct ReportRun {
   /// The run's per-site event counts (obs::EventBus delta), as (site_name,
   /// count) pairs sorted by name with zero-count sites omitted — the sparse,
   /// name-keyed form the JSON carries. Empty when the bus was off. Stored as
-  /// strings rather than obs::Site so a report written by a newer binary
-  /// (more sites) still round-trips through an older one.
+  /// strings because the site names, not obs::Site ids, are what the report
+  /// carries and bench_compare.py keys event rates on.
   std::vector<std::pair<std::string, std::uint64_t>> events;
 };
 
@@ -90,7 +90,7 @@ std::vector<std::pair<std::string, std::uint64_t>> report_events(
 
 /// A bench binary's machine-readable result file (see the schema above).
 struct BenchReport {
-  /// The schema identifier emitted and required on parse.
+  /// The schema identifier every report leads with.
   static constexpr const char* kSchema = "renamelib.bench_report.v1";
 
   /// `git describe` of the build (baked in at configure time; "unknown"
@@ -103,14 +103,9 @@ struct BenchReport {
 
   /// Serializes the report (stable field order, round-trippable doubles).
   std::string to_json() const;
-  /// Parses a report; throws std::invalid_argument on malformed JSON, a
-  /// schema mismatch, or inconsistent latency buckets.
-  static BenchReport from_json(const std::string& json);
 
   /// Writes to_json() to `path` (throws std::runtime_error on I/O failure).
   void write_file(const std::string& path) const;
-  /// Reads and parses `path` (throws on I/O or parse failure).
-  static BenchReport read_file(const std::string& path);
 };
 
 }  // namespace renamelib::api

@@ -60,7 +60,8 @@ std::unique_ptr<sim::Adversary> make_base_adversary(const Scenario& s) {
     case Sched::kRandom:
       break;
   }
-  // Same derivation bench_common used, so ported benches reproduce.
+  // Every seeded simulated run depends on this derivation: changing it
+  // changes bench/baselines/smoke.json and the claims ledger's tables.
   return std::make_unique<sim::RandomAdversary>(s.seed * 7919 + 13);
 }
 

@@ -9,7 +9,8 @@
 //
 // This is the deterministic foil for the paper's randomized algorithms: no
 // coins, namespace k(k+1)/2 and Theta(k) steps, versus randomized tight 1..k
-// in polylog steps. bench_baseline_comparison includes it.
+// in polylog steps. The claims ledger (`renamectl claims`) measures it in
+// its "Sec. 1 / 3: every registered renaming, head to head" comparison.
 #pragma once
 
 #include <atomic>

@@ -106,9 +106,8 @@ LatencySnapshot LatencySnapshot::from_parts(std::uint64_t count, double sum,
   }
   if (count > 0) {
     // min/max must lie inside the lowest/highest non-empty bucket — a
-    // tampered min would otherwise silently inflate every percentile
-    // (percentile() clamps to min), and the Python validator would reject
-    // what this parser accepted.
+    // corrupted min would otherwise silently inflate every percentile
+    // (percentile() clamps to min).
     std::size_t lo = 0;
     std::size_t hi = 0;
     for (std::size_t i = 0; i < out.buckets_.size(); ++i) {

@@ -2,8 +2,8 @@
 // histograms with O(1) record and no overflow loss.
 //
 // The paper's claims are statements about tails ("w.h.p.", O(log k) steps),
-// and the fixed-width stats::Histogram destroys exactly the tail we care
-// about: everything past the last bucket collapses into one overflow count.
+// and a fixed-width histogram destroys exactly the tail we care about:
+// everything past its last bucket collapses into one overflow count.
 // LatencyRecorder instead buckets by value magnitude — kSubBuckets buckets
 // per power of two — so the whole uint64 range is representable at a bounded
 // relative resolution (<= 1/kSubBuckets ~ 3%), a recording is a fixed-size
@@ -111,9 +111,10 @@ class LatencySnapshot {
   };
   std::vector<Bar> nonzero_buckets() const;
 
-  /// Rebuilds a snapshot from serialized moments + sparse buckets (the
-  /// BenchReport round-trip). Throws std::invalid_argument if a bucket
-  /// lower edge is not a valid bucket boundary or counts disagree.
+  /// Rebuilds a snapshot from serialized moments + sparse buckets (the proc
+  /// mailbox). Throws std::invalid_argument if a bucket lower edge is not a
+  /// valid bucket boundary, counts disagree, or min/max lie outside the
+  /// extreme non-empty buckets.
   static LatencySnapshot from_parts(std::uint64_t count, double sum,
                                     double sum_sq, std::uint64_t min,
                                     std::uint64_t max,

@@ -25,6 +25,7 @@
 #include <set>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "api/registry.h"
@@ -215,41 +216,34 @@ TEST(RegistryDescribe, UnknownNameThrowsTheUniformError) {
 
 // -------------------------------------------------------- schema sanity ---
 
+/// A counter entry with just a name and a schema; the factory is never called.
+CounterInfo schema_only(std::string name, std::vector<OptionSchema> options) {
+  CounterInfo info;
+  info.name = std::move(name);
+  info.options = std::move(options);
+  info.make = [](const Spec&) -> std::unique_ptr<ICounter> { return nullptr; };
+  return info;
+}
+
 TEST(OptionSchema, RegistrationRejectsMalformedSchemas) {
   Registry reg;  // scratch registry: registration-time checks fire in add_*
   // Enum default outside its choices.
-  EXPECT_THROW(
-      reg.add_counter(CounterInfo{
-          .name = "bad_enum",
-          .options = {OptionSchema::choice("tas", "nope", {"rnd", "hw"}, "d")},
-          .make = [](const Spec&) -> std::unique_ptr<ICounter> {
-            return nullptr;
-          }}),
-      std::invalid_argument);
+  EXPECT_THROW(reg.add_counter(schema_only(
+                   "bad_enum",
+                   {OptionSchema::choice("tas", "nope", {"rnd", "hw"}, "d")})),
+               std::invalid_argument);
   // Int default outside its range.
-  EXPECT_THROW(reg.add_counter(CounterInfo{
-                   .name = "bad_range",
-                   .options = {OptionSchema::u64("n", 0, 1, 8, "d")},
-                   .make = [](const Spec&) -> std::unique_ptr<ICounter> {
-                     return nullptr;
-                   }}),
+  EXPECT_THROW(reg.add_counter(schema_only(
+                   "bad_range", {OptionSchema::u64("n", 0, 1, 8, "d")})),
                std::invalid_argument);
   // Duplicate option keys.
-  EXPECT_THROW(reg.add_counter(CounterInfo{
-                   .name = "bad_dup",
-                   .options = {OptionSchema::u64("n", 1, 1, 8, "d"),
-                               OptionSchema::u64("n", 2, 1, 8, "d")},
-                   .make = [](const Spec&) -> std::unique_ptr<ICounter> {
-                     return nullptr;
-                   }}),
+  EXPECT_THROW(reg.add_counter(schema_only(
+                   "bad_dup", {OptionSchema::u64("n", 1, 1, 8, "d"),
+                               OptionSchema::u64("n", 2, 1, 8, "d")})),
                std::invalid_argument);
   // A well-formed schema registers fine in the scratch registry.
-  EXPECT_NO_THROW(reg.add_counter(CounterInfo{
-      .name = "ok",
-      .options = {OptionSchema::u64("n", 4, 1, 8, "d")},
-      .make = [](const Spec&) -> std::unique_ptr<ICounter> {
-        return nullptr;
-      }}));
+  EXPECT_NO_THROW(reg.add_counter(
+      schema_only("ok", {OptionSchema::u64("n", 4, 1, 8, "d")})));
 }
 
 }  // namespace

@@ -1,5 +1,5 @@
-// Tests for the stats module (summary, growth fitting, tables, histograms,
-// the concurrent latency recorder) — the instruments the experiment benches
+// Tests for the stats module (summary, growth fitting, tables, the
+// concurrent latency recorder) — the instruments the experiment benches
 // rely on must themselves be correct.
 #include <gtest/gtest.h>
 
@@ -12,7 +12,6 @@
 #include <vector>
 
 #include "stats/fit.h"
-#include "stats/histogram.h"
 #include "stats/latency_recorder.h"
 #include "stats/summary.h"
 #include "stats/table.h"
@@ -114,25 +113,6 @@ TEST(Table, AlignsAndCsv) {
 TEST(Table, NumFormatting) {
   EXPECT_EQ(Table::num(3.14159, 2), "3.14");
   EXPECT_EQ(Table::num(2.0, 0), "2");
-}
-
-TEST(Histogram, BucketsAndOverflow) {
-  Histogram h(10, 3);  // [0,10) [10,20) [20,30) + overflow
-  h.add_all({1, 5, 15, 25, 99});
-  EXPECT_EQ(h.count(), 5u);
-  EXPECT_EQ(h.bucket(0), 2u);
-  EXPECT_EQ(h.bucket(1), 1u);
-  EXPECT_EQ(h.bucket(2), 1u);
-  EXPECT_EQ(h.overflow(), 1u);
-  const std::string render = h.render();
-  EXPECT_NE(render.find('#'), std::string::npos);
-  EXPECT_NE(render.find("overflow"), std::string::npos);
-}
-
-TEST(Histogram, NegativeClampsToFirstBucket) {
-  Histogram h(1, 2);
-  h.add(-5);
-  EXPECT_EQ(h.bucket(0), 1u);
 }
 
 TEST(LatencyBuckets, GeometryIsContiguousAndInvertible) {
@@ -275,8 +255,9 @@ TEST(LatencySnapshot, MergeEqualsRecordingEverythingInOne) {
 }
 
 TEST(LatencySnapshot, NoOverflowLossAtExtremeValues) {
-  // The fixed-width Histogram folds these into one overflow count; the
-  // log-bucketed snapshot must keep them distinguishable and queryable.
+  // Values at the ends of the uint64 range have no overflow bucket to fall
+  // into: the log-bucketed snapshot keeps them distinguishable and
+  // queryable.
   LatencySnapshot snap;
   snap.add(0);
   snap.add(~0ull);
@@ -303,7 +284,7 @@ TEST(LatencySnapshot, SummaryAgreesWithExactSummarize) {
   EXPECT_NEAR(approx.mean, exact.mean, 1e-6);
   EXPECT_NEAR(approx.stddev, exact.stddev, exact.stddev * 1e-9 + 1e-6);
   // Percentiles within one log-bucket: lower edge <= exact < upper edge.
-  for (const auto [got, want] : {std::pair{approx.p50, exact.p50},
+  for (const auto& [got, want] : {std::pair{approx.p50, exact.p50},
                                  std::pair{approx.p90, exact.p90},
                                  std::pair{approx.p99, exact.p99}}) {
     EXPECT_LE(got, want);

@@ -7,17 +7,18 @@ Usage:
   bench_compare.py --self-check
 
 Modes:
-  * compare (default): match runs by *configuration* — (bench, canonical
-    spec, backend, threads, unit) — and flag regressions: throughput
+  * compare (default): match runs by *configuration* — (bench, spec,
+    backend, threads, unit) — and flag regressions: throughput
     dropping more than --max-throughput-regress, tail latency (p99)
     growing more than --max-p99-regress, or a per-op event rate (the
     optional "events" section: counts of contention/failure sites like
     cas_fail, divided by the run's ops) growing more than
     --max-event-rate-regress. Run *names* are labels, not
-    identity: a bench may relabel its tables without orphaning history, and
-    a spec spelled with reordered keys still matches (specs canonicalize
-    exactly like C++ api::Spec — keys sorted, nested values bracketed iff
-    they carry options). Runs without a spec fall back to their name.
+    identity: a bench may relabel its tables without orphaning history.
+    Specs match verbatim: the C++ writer emits every spec in api::Spec's
+    canonical form, so a hand-edited spec with reordered keys shows up as
+    MISSING/NEW rather than pairing. Runs without a spec fall back to their
+    name.
     Exit codes: 0 no regression, 1 regression found, 2 invalid input or no
     comparable runs at all (two reports that share nothing are a usage
     error, not a clean pass).
@@ -32,8 +33,11 @@ Schema checks (renamelib.bench_report.v1):
     ops_per_sec number, latency object (keys outside the schema are
     ignored),
   * per latency: count/min/max/p50/p90/p99/p999 integers, sum/sum_sq/mean
-    numbers, buckets a list of [lower, upper, count] with counts summing to
-    `count` and percentiles falling inside [min, max],
+    numbers, buckets a list of [lower, upper, count] with ascending lower
+    edges and counts summing to `count`; when count > 0, `min` lies in
+    [lower, upper) of the first non-empty bucket, `max` in that of the last
+    (upper == 0 means past the uint64 maximum), and the percentiles inside
+    [min, max],
   * optional per-run events: an object of site-name -> non-negative integer
     count (obs::site_name keys; absent when the run recorded none).
 """
@@ -55,8 +59,8 @@ def _require(cond, where, what):
 
 
 def _is_uint(v):
-    # bool is an int subclass in Python; the C++ parser rejects true/false
-    # where integers are required, and the validators must agree.
+    # bool is an int subclass in Python, but a JSON true/false is not an
+    # integer: it must not satisfy a count or an edge.
     return isinstance(v, int) and not isinstance(v, bool) and v >= 0
 
 
@@ -106,12 +110,19 @@ def validate_report(doc, where="report"):
         _require(total == lat["count"], rwhere,
                  f"bucket counts sum to {total}, latency count is {lat['count']}")
         if lat["count"] > 0:
+            # min/max must sit in the extreme non-empty buckets: percentiles
+            # clamp to [min, max], so a tampered min or max would shift them.
+            filled = [b for b in lat["buckets"] if b[2] > 0]
+            for key, (lower, upper, _) in (("min", filled[0]),
+                                           ("max", filled[-1])):
+                _require(lower <= lat[key] and (upper == 0 or lat[key] < upper),
+                         rwhere, f"latency '{key}'={lat[key]} outside its "
+                         f"bucket [{lower}, {upper or '2^64'})")
             for key in ("p50", "p90", "p99", "p999"):
                 _require(lat["min"] <= lat[key] <= lat["max"], rwhere,
                          f"latency '{key}'={lat[key]} outside "
                          f"[min={lat['min']}, max={lat['max']}]")
-        # Optional per-site event counts (absent when the run recorded none;
-        # the C++ parser defaults them to empty the same way).
+        # Optional per-site event counts (absent when the run recorded none).
         if "events" in run:
             _require(isinstance(run["events"], dict), rwhere,
                      "'events' must be an object")
@@ -132,65 +143,10 @@ def load_report(path):
     return validate_report(doc, where=path)
 
 
-def _split_top_level(text, sep):
-    """Split at `sep` outside [...] brackets (mirrors api::Spec's parser)."""
-    items, item, depth = [], "", 0
-    for c in text:
-        if c == "[":
-            depth += 1
-        if c == "]":
-            depth -= 1
-            if depth < 0:
-                raise ValueError(f"unbalanced ']' in spec '{text}'")
-        if c == sep and depth == 0:
-            items.append(item)
-            item = ""
-        else:
-            item += c
-    if depth != 0:
-        raise ValueError(f"unbalanced '[' in spec '{text}'")
-    items.append(item)
-    return items
-
-
-def canonical_spec(spec):
-    """The canonical form api::Spec::print emits: keys sorted at every
-    nesting level, nested values bracketed iff they carry options. Reports
-    written by current binaries are already canonical; canonicalizing here
-    too keeps matching stable against hand-written or pre-v2 reports. A
-    string that is not a well-formed spec passes through verbatim."""
-    try:
-        name, sep, rest = spec.partition(":")
-        if not name or any(c in name for c in "[],="):
-            return spec
-        if not sep:
-            return name
-        options = []
-        for item in _split_top_level(rest, ","):
-            key, eq, value = item.partition("=")
-            if not key or not eq:
-                return spec
-            if value.startswith("[") and value.endswith("]"):
-                value = canonical_spec(value[1:-1])
-                if ":" in value:
-                    value = f"[{value}]"
-            elif "[" in value or "]" in value:
-                return spec
-            elif ":" in value:
-                value = f"[{canonical_spec(value)}]"
-            options.append((key, value))
-        if len(set(k for k, _ in options)) != len(options):
-            return spec
-        return name + ":" + ",".join(f"{k}={v}"
-                                     for k, v in sorted(options))
-    except ValueError:
-        return spec
-
-
 def run_key(doc, run, occurrence):
     # Identity is the measured configuration, not the table label; label-only
     # runs (spec == "") key on their name instead.
-    config = canonical_spec(run["spec"]) if run["spec"] else "name:" + run["name"]
+    config = run["spec"] or "name:" + run["name"]
     return (doc["bench"], config, run["backend"], run["threads"], run["unit"],
             occurrence)
 
@@ -341,24 +297,20 @@ def self_check():
     regs, _, _ = diff(_synthetic(p99=100), _synthetic(p99=50))
     assert not regs, regs
 
-    # Canonicalization mirrors api::Spec::print.
-    assert canonical_spec("lease:quota=8,procs=4") == \
-        "lease:procs=4,quota=8"
-    assert canonical_spec("lease:quota=8,inner=[bounded_fai:tas=hw,m=64]") \
-        == "lease:inner=[bounded_fai:m=64,tas=hw],quota=8"
-    assert canonical_spec("lease:inner=[atomic_fai]") == \
-        "lease:inner=atomic_fai"
-    assert canonical_spec("lease:inner=striped:stripes=4") == \
-        "lease:inner=[striped:stripes=4]"
-    assert canonical_spec("not a spec") == "not a spec"
-    assert canonical_spec("") == ""
-
     # Matching is by configuration: a renamed run with the same spec still
-    # pairs, and reordered spec keys are one identity.
+    # pairs.
     regs, compared, unmatched = diff(
-        _synthetic(name="old_label", spec="lease:quota=8,procs=4"),
+        _synthetic(name="old_label", spec="lease:procs=4,quota=8"),
         _synthetic(name="new_label", spec="lease:procs=4,quota=8"))
     assert not regs and compared == 1 and not unmatched
+
+    # Specs match verbatim: reordered keys (which the C++ writer never
+    # emits) are a different string, so the runs show as MISSING/NEW instead
+    # of pairing silently.
+    regs, compared, unmatched = diff(
+        _synthetic(spec="lease:procs=4,quota=8"),
+        _synthetic(spec="lease:quota=8,procs=4"))
+    assert not regs and compared == 0 and len(unmatched) == 1
 
     # Runs without a spec fall back to their name.
     regs, compared, unmatched = diff(_synthetic(spec=""),
@@ -380,6 +332,14 @@ def self_check():
     base, cur = _synthetic(), _synthetic(spec="other_spec")
     regs, compared, unmatched = diff(base, cur)
     assert not regs and compared == 0 and len(unmatched) == 1
+
+    # A top bucket's upper edge 0 means past the uint64 maximum, so the
+    # largest recordable max still lies inside it.
+    doc = _synthetic()
+    doc["runs"][0]["latency"].update(
+        max=2**64 - 1, p999=2**64 - 1,
+        buckets=[[100, 101, 99], [2**64 - 2**58, 0, 1]])
+    validate_report(doc, where="top bucket")
 
     # Events: optional, validated when present, diffed as per-op rates.
     doc = _synthetic()
@@ -416,7 +376,10 @@ def self_check():
         lambda d: d["runs"][0].pop("ops_per_sec"),
         lambda d: d["runs"][0]["latency"]["buckets"][0].__setitem__(2, 7),
         lambda d: d["runs"][0]["latency"].__setitem__("p99", 10**9),
-        # Booleans must not satisfy integer fields (C++ parser parity).
+        # min/max outside the first/last non-empty bucket's [lower, upper).
+        lambda d: d["runs"][0]["latency"].update(min=99, p50=99),
+        lambda d: d["runs"][0]["latency"].update(max=101, p999=101),
+        # JSON booleans are not integers, though Python's bool is an int.
         lambda d: d["runs"][0].__setitem__("threads", True),
         lambda d: d["runs"][0]["latency"].__setitem__("count", True),
         # Events, when present, must be a site->count object.

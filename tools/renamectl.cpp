@@ -11,7 +11,7 @@
 //   renamectl describe [NAME] [--facet=...]
 //   renamectl events                      # the instrumentation-site catalog
 //   renamectl claims                      # the paper-claims ledger
-//   renamectl run --facet=counter --spec=striped:stripes=16 --threads=8 \
+//   renamectl run --facet=counter --spec=striped:stripes=16 --threads=8
 //                 --ops=1000 --backend=hardware --json=-
 //   renamectl run --smoke --json=FILE     # deterministic all-entries matrix
 //   renamectl run --spec=... --events     # + per-site event counts/rates

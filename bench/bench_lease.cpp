@@ -18,7 +18,6 @@
 // Flags: --smoke shrinks threads and sweeps (the ctest and CI preset),
 // --json=FILE writes a renamelib.bench_report.v1 report for
 // tools/bench_compare.py, --events adds per-run obs event counts to it.
-#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
@@ -33,6 +32,7 @@
 #include "api/registry.h"
 #include "api/report.h"
 #include "api/workload.h"
+#include "fuzz/oracles.h"
 #include "lease/lease_broker.h"
 #include "obs/event_bus.h"
 #include "stats/latency_recorder.h"
@@ -87,19 +87,13 @@ void print_header(const char* experiment, const char* claim) {
   std::cout << "\n=== " << experiment << " ===\n" << claim << "\n\n";
 }
 
-/// Exits non-zero unless `values` are pairwise distinct and below `bound`.
-void check_unique_bounded(std::vector<std::uint64_t> values,
-                          std::uint64_t bound, const std::string& where) {
-  std::sort(values.begin(), values.end());
-  if (std::adjacent_find(values.begin(), values.end()) != values.end()) {
-    std::cerr << "VALIDATION FAILED: duplicate leased position (" << where
-              << ")\n";
-    std::exit(1);
-  }
-  if (!values.empty() && values.back() >= bound) {
-    std::cerr << "VALIDATION FAILED: position " << values.back()
-              << " exceeds the escrow bound " << bound << " (" << where
-              << ")\n";
+/// Exits 1 unless `values` are pairwise distinct and below `bound` (the
+/// fuzz::check_unique_bounded oracle).
+void require_unique_bounded(const std::vector<std::uint64_t>& values,
+                            std::uint64_t bound, const std::string& where) {
+  const fuzz::OracleResult r = fuzz::check_unique_bounded(values, bound);
+  if (!r.ok) {
+    std::cerr << "VALIDATION FAILED: " << r.detail << " (" << where << ")\n";
     std::exit(1);
   }
 }
@@ -133,9 +127,9 @@ void amortization_table() {
     const api::Run run = Workload(s).run(*counter);
     const std::uint64_t total =
         static_cast<std::uint64_t>(k) * static_cast<std::uint64_t>(ops);
-    check_unique_bounded(run.values(),
-                         total + static_cast<std::uint64_t>(k) * quota,
-                         "sim quota=" + std::to_string(quota));
+    require_unique_bounded(run.values(),
+                           total + static_cast<std::uint64_t>(k) * quota,
+                           "sim quota=" + std::to_string(quota));
     const auto stats = adapter->impl().stats();
     const double per_op =
         static_cast<double>(run.metrics.shared_steps) / static_cast<double>(total);
@@ -223,9 +217,8 @@ TimedRun timed_throughput(const std::string& spec, int threads, int ops,
   all.reserve(result.total_ops);
   for (const auto& v : values) all.insert(all.end(), v.begin(), v.end());
   const std::uint64_t quota = api::Spec::parse(spec).get_u64("quota", 0);
-  check_unique_bounded(
-      std::move(all),
-      result.total_ops + static_cast<std::uint64_t>(threads) * quota,
+  require_unique_bounded(
+      all, result.total_ops + static_cast<std::uint64_t>(threads) * quota,
       "hw " + spec);
   return result;
 }
@@ -329,8 +322,8 @@ void crash_reclaim_table() {
     const api::Run run = Workload(s).run(*counter);
     const std::uint64_t attempted =
         static_cast<std::uint64_t>(s.nproc) * s.ops_per_proc;
-    check_unique_bounded(run.values(), attempted * 8,
-                         "crash seed=" + std::to_string(seed));
+    require_unique_bounded(run.values(), attempted * 8,
+                           "crash seed=" + std::to_string(seed));
 
     Ctx quiescent(7, 400 + seed);
     (void)adapter->impl().reclaim(quiescent);

@@ -25,9 +25,10 @@ struct Metrics {
   std::uint64_t coin_flips = 0;      ///< total raw random draws
   std::uint64_t max_op_steps = 0;    ///< most expensive single operation
   std::uint64_t max_proc_steps = 0;  ///< most loaded process (total steps)
-  /// Wall time of the run region (thread spawn to last join), hardware
-  /// backend only; 0 on the simulated backend, whose serialized grants make
-  /// wall time meaningless.
+  /// Wall time of the run region: thread spawn to last join on hardware,
+  /// the shared start stamp to the last survivor's publication on proc; 0 on
+  /// the simulated backend, whose serialized grants make wall time
+  /// meaningless.
   double wall_seconds = 0;
 
   /// Average paper-model steps per completed operation (0 when ops == 0).

@@ -5,7 +5,6 @@
 #include <cmath>
 #include <iterator>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <stdexcept>
 #include <thread>
@@ -14,6 +13,7 @@
 #include "core/register.h"
 #include "core/rng.h"
 #include "obs/emit.h"
+#include "proc/mailbox.h"
 #include "proc/proc_backend.h"
 #include "proc/shm_arena.h"
 #include "sim/executor.h"
@@ -121,22 +121,24 @@ Run Workload::run_metered(
     const std::function<const char*(int)>& kind_of) const {
   using clock = std::chrono::steady_clock;
   Run run;
-  std::mutex mu;  // meta-level instrumentation, not part of any protocol
   std::optional<sim::HistoryRecorder> recorder;
   if (scenario_.record_history) recorder.emplace(scenario_.nproc);
-  // Hardware and proc backends are wall-clock ("timed"): latency goes into
-  // a lock-free per-thread recorder and samples/metrics are buffered per
-  // process, merged once at completion — the metered loop stays free of
-  // meta-level lock contention. (On the proc backend the per-process merge
-  // point is a mailbox publication instead of a mutex, and completed ops
-  // additionally go through a crash-surviving shm ring so a SIGKILLed
-  // victim's ops survive, mirroring what the simulated backend's per-op
-  // commits guarantee.)
-  const bool timed = scenario_.backend != Backend::kSimulated;
+  // Hardware and proc backends are wall-clock ("timed"): every
+  // latency_sample_period-th op's latency goes into the process's slot.
   const bool proc = scenario_.backend == Backend::kProc;
-  std::optional<stats::LatencyRecorder> latency;
-  const int sample_period = scenario_.latency_sample_period;
-  if (timed && sample_period > 0) latency.emplace(scenario_.nproc);
+  const bool timed = scenario_.backend != Backend::kSimulated;
+  const int sample_period = timed ? scenario_.latency_sample_period : 0;
+  // Per-pid op samples on hardware and in the simulator, appended as each op
+  // completes, so a crashed simulated process's completed ops survive. The
+  // proc backend publishes them into its crash-surviving shm rings instead.
+  // Cache-line-aligned: each vector's end pointer moves with every op.
+  struct alignas(64) PidOps {
+    std::vector<OpSample> ops;
+  };
+  std::vector<PidOps> samples(
+      scenario_.keep_op_samples && !proc
+          ? static_cast<std::size_t>(scenario_.nproc)
+          : 0);
   // Think-time target: a harness-owned shared register, so every think step
   // is adversary-schedulable (simulated) or a real coherent load (hardware).
   // Note: on the proc backend this register lives in the parent's heap, so
@@ -154,11 +156,14 @@ Run Workload::run_metered(
   // Sample kinds are only materialized when something records them.
   const bool need_kind = scenario_.record_history || scenario_.keep_op_samples;
 
-  auto body = [&](Ctx& ctx) {
-    Metrics local;
-    std::vector<OpSample> local_ops;
-    if (timed && !proc && scenario_.keep_op_samples) {
-      local_ops.reserve(static_cast<std::size_t>(scenario_.ops_per_proc));
+  // Runs on a simulated process's 64 KiB fiber stack: the slot is written in
+  // place, never copied (a LatencySnapshot is ~15 KiB).
+  auto body = [&](Ctx& ctx, proc::Contribution& slot) {
+    std::vector<OpSample>* ops =
+        samples.empty() ? nullptr
+                        : &samples[static_cast<std::size_t>(ctx.pid())].ops;
+    if (ops != nullptr) {
+      ops->reserve(static_cast<std::size_t>(scenario_.ops_per_proc));
     }
     int burst_left = 0;
     // Countdown instead of `i % period`: a per-op integer division is
@@ -195,59 +200,37 @@ Run Workload::run_metered(
       OpMeter meter(ctx);
       // Latency sampling every Nth op keeps the clock reads off the fast
       // path of nanosecond-scale objects (see Scenario::latency_sample_period).
-      const bool sampled = latency && --until_sample == 0;
+      const bool sampled = sample_period > 0 && --until_sample == 0;
       if (sampled) until_sample = sample_period;
       const auto t0 = sampled ? clock::now() : clock::time_point{};
       const std::uint64_t v = op(ctx, i);
       if (sampled) {
-        latency->record(
-            ctx.pid(),
-            static_cast<std::uint64_t>(
-                std::chrono::duration_cast<std::chrono::nanoseconds>(
-                    clock::now() - t0)
-                    .count()));
+        slot.latency.add(static_cast<std::uint64_t>(
+            std::chrono::duration_cast<std::chrono::nanoseconds>(clock::now() -
+                                                                 t0)
+                .count()));
       }
       if (recorder) recorder->respond(ctx.pid(), kind, 0, v, token);
+      meter.commit(slot.metrics);
       if (proc) {
-        meter.commit(local);
         // Ring publication + the worker's crash point: victims park for
         // SIGKILL inside this call once they complete their op quota.
         proc::Worker::current()->publish_op(v, meter.op_steps(), kind);
-      } else if (timed) {
-        meter.commit(local);
-        if (scenario_.keep_op_samples) {
-          local_ops.push_back(OpSample{ctx.pid(), v, meter.op_steps(), kind});
-        }
-      } else {
-        std::scoped_lock lock{mu};
-        meter.commit(run.metrics);
-        if (scenario_.keep_op_samples) {
-          run.ops.push_back(OpSample{ctx.pid(), v, meter.op_steps(), kind});
-        }
+      } else if (ops != nullptr) {
+        ops->push_back(OpSample{ctx.pid(), v, meter.op_steps(), kind});
       }
     }
-    if (proc) {
-      // The worker's recorder slots are its private copy-on-write pages, so
-      // its snapshot holds exactly its own samples — published whole into
-      // the mailbox Contribution the parent folds.
-      proc::Worker::current()->publish_done(
-          local, latency ? latency->snapshot() : stats::LatencySnapshot{},
-          ctx.steps());
-    } else if (timed) {
-      std::scoped_lock lock{mu};
-      run.metrics.merge(local);
-      run.ops.insert(run.ops.end(), std::make_move_iterator(local_ops.begin()),
-                     std::make_move_iterator(local_ops.end()));
-    }
+    // The worker's mailbox is this slot: stamp it finished and mark it ready
+    // for the parent's fold.
+    if (proc) proc::Worker::current()->publish_done(ctx.steps());
   };
-  execute(body, mu, run);
+  execute(body, run);
 
-  if (recorder) run.history = recorder->history();
-  // Proc backend: run.latency was already set from the mailbox fold; the
-  // parent's own recorder never saw the workers' (COW-private) samples.
-  if (latency && scenario_.backend != Backend::kProc) {
-    run.latency = latency->snapshot();
+  for (PidOps& p : samples) {
+    run.ops.insert(run.ops.end(), std::make_move_iterator(p.ops.begin()),
+                   std::make_move_iterator(p.ops.end()));
   }
+  if (recorder) run.history = recorder->history();
   return run;
 }
 
@@ -304,22 +287,22 @@ Run Workload::run_body(const std::function<void(Ctx&)>& body) const {
                    "publication points for the mailbox protocol); use "
                    "run_ops");
   Run run;
-  std::mutex mu;
-  // Proc-granular run: aggregate whole-process Ctx counters into Metrics at
+  // Proc-granular run: the whole-process Ctx counters go into the slot at
   // body completion (no per-op samples, so ops stays 0).
-  auto wrapped = [&](Ctx& ctx) {
-    body(ctx);
-    std::scoped_lock lock{mu};
-    run.metrics.steps += ctx.steps();
-    run.metrics.shared_steps += ctx.shared_steps();
-    run.metrics.coin_flips += ctx.coin_flips();
-  };
-  execute(wrapped, mu, run);
+  execute(
+      [&body](Ctx& ctx, proc::Contribution& slot) {
+        body(ctx);
+        slot.metrics.steps = ctx.steps();
+        slot.metrics.shared_steps = ctx.shared_steps();
+        slot.metrics.coin_flips = ctx.coin_flips();
+      },
+      run);
   return run;
 }
 
-void Workload::execute(const std::function<void(Ctx&)>& body, std::mutex& mu,
-                       Run& run) const {
+void Workload::execute(
+    const std::function<void(Ctx&, proc::Contribution&)>& body,
+    Run& run) const {
   RENAMELIB_ENSURE(scenario_.nproc > 0, "scenario needs at least one process");
   RENAMELIB_ENSURE(
       scenario_.backend != Backend::kHardware || !scenario_.crashes.enabled(),
@@ -335,9 +318,8 @@ void Workload::execute(const std::function<void(Ctx&)>& body, std::mutex& mu,
     RENAMELIB_ENSURE(!scenario_.record_history,
                      "history recording is not supported on the proc backend "
                      "(mailboxes carry mergeable snapshots, not histories)");
-    // The raw body, not with_totals: per-process totals travel through the
-    // mailbox Contributions the parent folds, never through a
-    // parent-side mutex (which a child could only update copy-on-write).
+    // The slots are the workers' mailboxes in the shm arena; run_proc folds
+    // the survivors' ones.
     proc::run_proc(scenario_, body, run);
     return;
   }
@@ -347,50 +329,51 @@ void Workload::execute(const std::function<void(Ctx&)>& body, std::mutex& mu,
   const bool events_on = obs::EventBus::enabled();
   const obs::EventSnapshot events_before =
       events_on ? obs::EventBus::instance().snapshot() : obs::EventSnapshot{};
-  // Appends the finishing process's totals; only reached by processes that
-  // complete their body (crashed ones stop at the throw).
-  auto with_totals = [&](Ctx& ctx) {
-    body(ctx);
-    std::scoped_lock lock{mu};
-    run.proc_steps.push_back(static_cast<double>(ctx.steps()));
-    run.finished_procs += 1;
-    if (ctx.steps() > run.metrics.max_proc_steps) {
-      run.metrics.max_proc_steps = ctx.steps();
-    }
+  const auto nproc = static_cast<std::size_t>(scenario_.nproc);
+  const std::unique_ptr<proc::Contribution[]> slots(
+      new proc::Contribution[nproc]);
+  // Crashed processes stop at the throw and never reach finish().
+  auto run_one = [&](Ctx& ctx) {
+    proc::Contribution& slot = slots[static_cast<std::size_t>(ctx.pid())];
+    body(ctx, slot);
+    slot.finish(ctx.steps());
   };
 
   if (scenario_.backend == Backend::kHardware) {
     const auto t0 = std::chrono::steady_clock::now();
     std::vector<std::thread> threads;
-    threads.reserve(scenario_.nproc);
+    threads.reserve(nproc);
     for (int p = 0; p < scenario_.nproc; ++p) {
       threads.emplace_back([&, p] {
         obs::ThreadPidScope pid_scope(p);
         Ctx ctx(p, Rng::derive(scenario_.seed, static_cast<std::uint64_t>(p)));
-        with_totals(ctx);
+        run_one(ctx);
       });
     }
     for (auto& t : threads) t.join();
-    run.metrics.wall_seconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-            .count();
-    if (events_on) {
-      run.events = obs::EventBus::instance().snapshot() - events_before;
+    const auto t1 = std::chrono::steady_clock::now();
+    for (std::size_t p = 0; p < nproc; ++p) {
+      slots[p].fold_into(run, /*finished=*/true);
     }
-    return;
-  }
-
-  auto adversary = make_adversary(scenario_);
-  sim::RunOptions options;
-  options.seed = scenario_.seed;
-  options.max_total_steps = scenario_.max_total_steps;
-  const auto result =
-      sim::run_simulation(scenario_.nproc, with_totals, *adversary, options);
-  run.crashed_procs = result.crashed_count();
-  // Crashed processes never ran the totals hook; fold their cost into the
-  // process maximum so the metrics reflect the whole execution.
-  if (result.max_proc_steps() > run.metrics.max_proc_steps) {
-    run.metrics.max_proc_steps = result.max_proc_steps();
+    run.metrics.wall_seconds = std::chrono::duration<double>(t1 - t0).count();
+  } else {
+    auto adversary = make_adversary(scenario_);
+    sim::RunOptions options;
+    options.seed = scenario_.seed;
+    options.max_total_steps = scenario_.max_total_steps;
+    const auto result =
+        sim::run_simulation(scenario_.nproc, run_one, *adversary, options);
+    // Every slot counts (a crashed process's completed ops included); only
+    // finished processes add a proc_steps row.
+    for (std::size_t p = 0; p < nproc; ++p) {
+      slots[p].fold_into(run, result.procs[p].finished);
+    }
+    run.crashed_procs = result.crashed_count();
+    // Crashed processes never reached finish(); fold their cost into the
+    // process maximum so the metrics reflect the whole execution.
+    if (result.max_proc_steps() > run.metrics.max_proc_steps) {
+      run.metrics.max_proc_steps = result.max_proc_steps();
+    }
   }
   if (events_on) {
     run.events = obs::EventBus::instance().snapshot() - events_before;

@@ -16,7 +16,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -28,6 +27,10 @@
 #include "obs/event_bus.h"
 #include "sim/linearizability.h"
 #include "stats/latency_recorder.h"
+
+namespace renamelib::proc {
+struct Contribution;
+}  // namespace renamelib::proc
 
 namespace renamelib::api {
 
@@ -86,7 +89,7 @@ struct Scenario {
   int ops_per_proc = 1;                   ///< operations per process
   Backend backend = Backend::kSimulated;  ///< execution substrate
   Sched sched = Sched::kRandom;           ///< adversary (simulated backend)
-  CrashPlan crashes;                      ///< crash injection (simulated only)
+  CrashPlan crashes;                      ///< crash injection (sim and proc)
   std::uint64_t seed = 1;                 ///< RNG + adversary seed
   /// Fill Run::history with real-time operation intervals, checkable by
   /// sim::is_linearizable.
@@ -144,15 +147,17 @@ struct OpSample {
 /// Outcome of running one object under one scenario.
 struct Run {
   Metrics metrics;                      ///< aggregate cost, unified contract
-  std::vector<OpSample> ops;            ///< completed ops, arbitrary order
+  std::vector<OpSample> ops;            ///< completed ops, pid by pid
   std::vector<sim::Operation> history;  ///< only when record_history
-  std::vector<double> proc_steps;       ///< finished processes' total steps
+  std::vector<double> proc_steps;       ///< finished procs' steps, pid order
   std::size_t finished_procs = 0;       ///< bodies that ran to completion
   std::size_t crashed_procs = 0;        ///< bodies killed by crash injection
-  /// Hardware backend: per-op wall-clock latency in nanoseconds, recorded
-  /// into a lock-free per-thread stats::LatencyRecorder (log-bucketed, no
-  /// tail loss, O(1) memory in the op count). Empty (count 0) on the
-  /// simulated backend, whose serialized grants make wall time meaningless.
+  /// Hardware and proc backends: sampled per-op wall-clock latency in
+  /// nanoseconds (every Scenario::latency_sample_period-th op; log-bucketed,
+  /// no tail loss, O(1) memory in the op count). Each process records into
+  /// its own result slot and the slots are merged in pid order; on the proc
+  /// backend only survivors' slots count. Empty (count 0) on the simulated
+  /// backend, whose serialized grants make wall time meaningless.
   stats::LatencySnapshot latency;
   /// Per-site event counts this run produced on the process-wide
   /// obs::EventBus (the delta across execute(), so concurrent runs on other
@@ -163,8 +168,8 @@ struct Run {
 
   /// All completed ops' values (convenience for invariant checks).
   std::vector<std::uint64_t> values() const;
-  /// Completed ops' values restricted to one kind, in ops order (which
-  /// preserves each process's program order).
+  /// Completed ops' values restricted to one kind, in ops order (pid by
+  /// pid, each process's in program order).
   std::vector<std::uint64_t> values_of(std::string_view kind) const;
   /// Per-op paper-model step counts (for stats::summarize).
   std::vector<double> op_steps() const;
@@ -217,7 +222,10 @@ class Workload {
   /// `kind_of(i)` names it (for OpSample::kind and recorded histories).
   Run run_metered(const std::function<std::uint64_t(Ctx&, int)>& op,
                   const std::function<const char*(int)>& kind_of) const;
-  void execute(const std::function<void(Ctx&)>& body, std::mutex& mu,
+  /// Runs `body(ctx, slot)` once per process on the scenario's backend,
+  /// where `slot` is that process's own result slot, then folds the slots
+  /// into `run` in pid order.
+  void execute(const std::function<void(Ctx&, proc::Contribution&)>& body,
                Run& run) const;
 
   Scenario scenario_;

@@ -3,12 +3,12 @@
 /// per thread so contended protocols can be observed without perturbing the
 /// contention being measured.
 ///
-/// The bus follows the same discipline as stats::LatencyRecorder: one
-/// cache-line-padded shard per thread (assigned through a thread_local slot
-/// index), each cell written with relaxed single-writer increments, and a
-/// mergeable immutable snapshot. A snapshot taken after the writing threads
-/// joined is exact; one taken mid-run is a per-cell monotone lower bound —
-/// both properties inherited directly from the counters being monotone.
+/// One cache-line-padded shard per thread (assigned through a thread_local
+/// slot index), each cell written with relaxed single-writer increments, and
+/// a mergeable, trivially copyable snapshot. A snapshot taken after the
+/// writing threads joined is exact; one taken mid-run is a per-cell monotone
+/// lower bound — both properties inherited directly from the counters being
+/// monotone.
 ///
 /// Counters never reset during a run; consumers measure *deltas* between two
 /// snapshots (EventSnapshot::operator-), which is how api::Workload attaches

@@ -1,27 +1,33 @@
 /// \file
-/// \brief The shared-memory wire format of the proc backend: POD mirrors of
-/// the mergeable telemetry types (api::Metrics, stats::LatencySnapshot,
-/// obs::EventSnapshot), per-process mailboxes, crash-surviving op rings, and
-/// the control block (start barrier, crash plan, kind table) — laid out into
-/// a ShmArena by Layout::create.
+/// \brief The per-process result slot every backend writes (Contribution)
+/// and the proc backend's shared-memory wire format: per-process mailboxes
+/// holding those slots, crash-surviving op rings, and the control block
+/// (start barrier, crash plan, kind table) — laid out into a ShmArena by
+/// Layout::create.
 ///
-/// Everything here is trivially-copyable, fixed-size, and self-contained
+/// Everything here is trivially copyable, fixed-size, and self-contained
 /// (no pointers), because these structures are written in one process and
 /// read in another: a worker fills its Mailbox's Contribution and exits, and
 /// an OpSlot written by a worker that is then SIGKILLed must still parse in
-/// the parent. The POD↔rich-type conversions are exact — LatencyPod
-/// round-trips through LatencySnapshot::from_parts bit-for-bit, which is
-/// what makes the parent's fold of the survivors' mailboxes equal the
-/// per-process sums exactly (the acceptance bar for this backend).
+/// the parent. The slot holds the rich telemetry types themselves
+/// (api::Metrics, stats::LatencySnapshot, obs::EventSnapshot are all
+/// trivially copyable), so nothing is converted crossing the boundary and
+/// the parent's fold of the survivors' mailboxes equals the per-process sums
+/// exactly (the acceptance bar for this backend).
 #pragma once
 
 #include <atomic>
 #include <cstdint>
+#include <type_traits>
 
 #include "api/metrics.h"
 #include "obs/event_bus.h"
 #include "proc/shm_arena.h"
 #include "stats/latency_recorder.h"
+
+namespace renamelib::api {
+struct Run;
+}  // namespace renamelib::api
 
 namespace renamelib::proc {
 
@@ -34,103 +40,34 @@ inline constexpr int kMaxProcs = 64;
 inline constexpr int kMaxKinds = 8;
 inline constexpr int kKindLen = 24;
 
-/// POD mirror of api::Metrics (wall_seconds excluded: wall time is computed
-/// parent-side from the shared start stamp and the mailboxes' end stamps).
-struct MetricsPod {
-  std::uint64_t ops = 0;
-  std::uint64_t steps = 0;
-  std::uint64_t shared_steps = 0;
-  std::uint64_t coin_flips = 0;
-  std::uint64_t max_op_steps = 0;
-  std::uint64_t max_proc_steps = 0;
+/// One process's result slot, indexed by pid — the same type on every
+/// backend. The process's metered loop writes its own slot in place (on the
+/// proc backend the slot is its Mailbox in shared memory; on hardware and
+/// in the simulator an entry of a heap array), and the harness folds the
+/// slots into the Run once, in pid order (fold_into). Every payload is
+/// additive, so the fold is exact: the Run equals the per-process sums.
+struct alignas(64) Contribution {
+  /// Ops, steps and per-op maxima; at completion also the process's total
+  /// steps (max_proc_steps) and, on the proc backend, its wall time from the
+  /// shared start stamp (wall_seconds; the fold keeps the maximum).
+  api::Metrics metrics;
+  stats::LatencySnapshot latency;  ///< sampled per-op wall-clock latency
+  obs::EventSnapshot events;       ///< proc backend: the worker's bus delta
+  double proc_steps = 0;           ///< total steps; set at completion
 
-  void store(const api::Metrics& m) {
-    ops = m.ops;
-    steps = m.steps;
-    shared_steps = m.shared_steps;
-    coin_flips = m.coin_flips;
-    max_op_steps = m.max_op_steps;
-    max_proc_steps = m.max_proc_steps;
+  /// Marks the process finished with `steps` total paper-model steps.
+  void finish(std::uint64_t steps) {
+    proc_steps = static_cast<double>(steps);
+    metrics.max_proc_steps = steps;
   }
 
-  /// Folds this partial into `m` with api::Metrics::merge semantics
-  /// (sums for totals, maxima for the max_* fields).
-  void merge_into(api::Metrics& m) const {
-    api::Metrics o;
-    o.ops = ops;
-    o.steps = steps;
-    o.shared_steps = shared_steps;
-    o.coin_flips = coin_flips;
-    o.max_op_steps = max_op_steps;
-    o.max_proc_steps = max_proc_steps;
-    m.merge(o);
-  }
+  /// Adds this slot to `run`: metrics, latency and events always (a
+  /// crashed simulated process's completed ops count), the proc_steps row
+  /// and the finished count only if the process `finished` its body.
+  void fold_into(api::Run& run, bool finished) const;
 };
-
-/// POD mirror of stats::LatencySnapshot: dense log-bucket counts plus the
-/// exact moments. load() rebuilds through from_parts, so the round-trip is
-/// exact (same buckets, same moments, bit-for-bit).
-struct LatencyPod {
-  std::uint64_t count = 0;
-  std::uint64_t min = 0;
-  std::uint64_t max = 0;
-  double sum = 0;
-  double sum_sq = 0;
-  std::uint64_t buckets[stats::LatencyBuckets::kCount] = {};
-
-  void store(const stats::LatencySnapshot& s) {
-    count = s.count();
-    min = s.min();
-    max = s.max();
-    sum = s.sum();
-    sum_sq = s.sum_sq();
-    for (std::size_t i = 0; i < stats::LatencyBuckets::kCount; ++i) {
-      buckets[i] = s.bucket(i);
-    }
-  }
-
-  stats::LatencySnapshot load() const {
-    std::vector<stats::LatencySnapshot::Bar> bars;
-    for (std::size_t i = 0; i < stats::LatencyBuckets::kCount; ++i) {
-      if (buckets[i] != 0) {
-        bars.push_back({stats::LatencyBuckets::lower(i),
-                        stats::LatencyBuckets::upper(i), buckets[i]});
-      }
-    }
-    return stats::LatencySnapshot::from_parts(count, sum, sum_sq, min, max,
-                                              bars);
-  }
-};
-
-/// POD mirror of obs::EventSnapshot (the per-site monotone counters).
-struct EventsPod {
-  std::uint64_t counts[obs::kSiteCount] = {};
-
-  void store(const obs::EventSnapshot& s) {
-    for (std::size_t i = 0; i < obs::kSiteCount; ++i) {
-      counts[i] = s.count(static_cast<obs::Site>(i));
-    }
-  }
-
-  obs::EventSnapshot load() const {
-    obs::EventSnapshot s;
-    for (std::size_t i = 0; i < obs::kSiteCount; ++i) {
-      s.set(static_cast<obs::Site>(i), counts[i]);
-    }
-    return s;
-  }
-};
-
-/// One surviving process's finished-run result; its mailbox index is its
-/// pid. The payloads are *additive*, so the parent folds each survivor's
-/// Contribution exactly once, in pid order.
-struct Contribution {
-  double proc_steps = 0;       ///< the process's total paper-model steps
-  std::uint64_t end_ns = 0;    ///< steady-clock stamp at publication
-  MetricsPod metrics;
-  LatencyPod latency;
-  EventsPod events;
-};
+static_assert(std::is_trivially_copyable_v<Contribution>,
+              "a result slot crosses the process boundary as raw bytes");
 
 /// One completed operation in a process's crash-surviving ring. Written
 /// slot-first, then announced by a release-increment of
@@ -143,8 +80,8 @@ struct OpSlot {
   std::uint32_t pad = 0;
 };
 
-/// Per-process mailbox: crash-visible progress flags plus the finished-run
-/// Contribution.
+/// Per-process mailbox: crash-visible progress flags plus the process's
+/// result slot.
 struct alignas(64) Mailbox {
   /// Ops announced into this process's ring (survives SIGKILL of the owner).
   std::atomic<std::uint64_t> published_ops{0};

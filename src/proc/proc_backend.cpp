@@ -106,16 +106,17 @@ void fill_kind_table(Control& ctl, const api::Scenario& s) {
   }
 }
 
-[[noreturn]] void child_main(const Layout& lay, int pid,
-                             const api::Scenario& s,
-                             const std::function<void(Ctx&)>& body) {
+[[noreturn]] void child_main(
+    const Layout& lay, int pid, const api::Scenario& s,
+    const std::function<void(Ctx&, Contribution&)>& body) {
   try {
     obs::ThreadPidScope pid_scope(pid);
     Worker worker(lay, pid, lay.control->crash_at[pid]);
     g_worker = &worker;
     Ctx ctx(pid, Rng::derive(s.seed, static_cast<std::uint64_t>(pid)));
     start_barrier(lay);
-    body(ctx);  // victims never return: publish_op parks them for SIGKILL
+    // Victims never return: publish_op parks them for SIGKILL.
+    body(ctx, lay.mail(pid).contrib);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "renamelib proc worker %d: %s\n", pid, e.what());
     std::_Exit(70);
@@ -203,24 +204,23 @@ void Worker::publish_op(std::uint64_t value, std::uint64_t steps,
   }
 }
 
-void Worker::publish_done(const api::Metrics& m,
-                          const stats::LatencySnapshot& lat,
-                          std::uint64_t proc_steps) {
+void Worker::publish_done(std::uint64_t proc_steps) {
   Mailbox& mb = layout_.mail(pid_);
   Contribution& c = mb.contrib;
-  c.proc_steps = static_cast<double>(proc_steps);
-  c.end_ns = now_ns();
-  api::Metrics mm = m;
-  mm.max_proc_steps = proc_steps;  // this process's total; fold takes the max
-  c.metrics.store(mm);
-  c.latency.store(lat);
+  c.finish(proc_steps);
+  // Wall time from the shared start stamp (visible since the barrier's
+  // acquire); the fold's maximum over survivors is the run's wall time.
+  const std::uint64_t start_ns =
+      layout_.control->start_ns.load(std::memory_order_relaxed);
+  c.metrics.wall_seconds = static_cast<double>(now_ns() - start_ns) / 1e9;
   if (obs::EventBus::enabled()) {
-    c.events.store(obs::EventBus::instance().snapshot() - events_at_fork_);
+    c.events = obs::EventBus::instance().snapshot() - events_at_fork_;
   }
   mb.ready.store(1, std::memory_order_release);
 }
 
-void run_proc(const api::Scenario& s, const std::function<void(Ctx&)>& body,
+void run_proc(const api::Scenario& s,
+              const std::function<void(Ctx&, Contribution&)>& body,
               api::Run& run) {
   ShmArena* arena = ShmArena::current();
   RENAMELIB_ENSURE(arena != nullptr,
@@ -304,24 +304,13 @@ void run_proc(const api::Scenario& s, const std::function<void(Ctx&)>& body,
     if (!progressed) brief_sleep();
   }
 
-  // Fold each survivor's mailbox once, in pid order.
-  std::uint64_t max_end_ns = 0;
+  // Fold each survivor's slot once, in pid order (supervision verified
+  // that exactly the non-victims are ready).
   for (std::size_t p = 0; p < nproc; ++p) {
     if (crash_at[p] > 0) continue;
-    const Contribution& c = lay.mail(static_cast<int>(p)).contrib;
-    c.metrics.merge_into(run.metrics);
-    run.latency.merge(c.latency.load());
-    run.events.merge(c.events.load());
-    run.proc_steps.push_back(c.proc_steps);
-    max_end_ns = std::max(max_end_ns, c.end_ns);
+    lay.mail(static_cast<int>(p)).contrib.fold_into(run, /*finished=*/true);
   }
-  run.finished_procs = run.proc_steps.size();
   run.crashed_procs = nproc - run.finished_procs;
-  const std::uint64_t start_ns = ctl.start_ns.load(std::memory_order_relaxed);
-  if (max_end_ns > start_ns && start_ns != 0) {
-    run.metrics.wall_seconds =
-        static_cast<double>(max_end_ns - start_ns) / 1e9;
-  }
 
   // Per-op samples from the crash-surviving rings (victims'
   // completed ops included; see the file comment in proc_backend.h).

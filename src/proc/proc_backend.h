@@ -13,6 +13,7 @@
 ///   derive crash plan (seed)
 ///   fork() × N  ─────────────▶   start barrier (all N, stamps start_ns)
 ///                                metered op loop:
+///                                  metrics, latency → mailbox[p] slot
 ///                                  publish_op → ring[p] (crash-surviving)
 ///                                  victim at crash_at[p] ops: park, spin
 ///   supervise until all reaped:
@@ -21,9 +22,11 @@
 ///   fold survivors' mailboxes,
 ///   pid order → Run
 ///
-/// Aggregate metrics (Run::metrics, latency, events, proc_steps) are the
-/// parent's one fold of the survivors' mailbox Contributions; a SIGKILLed
-/// victim never publishes one. The per-op sample rings (Run::ops) are read
+/// A worker's mailbox holds its result slot (Contribution, the type every
+/// backend's metered loop writes in place), so the aggregates (Run::metrics,
+/// latency, events, proc_steps) are the parent's one fold of the survivors'
+/// slots, through the same Contribution::fold_into the other backends use;
+/// a SIGKILLed victim's slot is never marked ready and is not folded. The per-op sample rings (Run::ops) are read
 /// for every worker, victims included: a killed process's completed ops are
 /// exactly what the facet conformance predicates must see (a killed
 /// worker's acquired names stay held).
@@ -46,19 +49,20 @@ namespace renamelib::proc {
 /// registry-built object (pages are touched lazily, so generous is cheap).
 std::size_t default_arena_bytes(const api::Scenario& s);
 
-/// Runs `body` (one call per process, pid-indexed Ctx) in s.nproc forked
-/// processes over ShmArena::current(), then fills `run` from the survivors'
-/// mailboxes. Requires a live arena; the object the body
+/// Runs `body` (one call per process, pid-indexed Ctx, the process's
+/// mailbox slot) in s.nproc forked processes over ShmArena::current(), then
+/// fills `run` from the survivors' mailboxes and every worker's op ring. Requires a live arena; the object the body
 /// closes over must live inside it. Crash injection per s.crashes: victims
 /// are SIGKILLed at seed-derived op counts, reaped, and counted in
 /// run.crashed_procs. Aborts, naming the worker, if a victim dies any other
 /// way or a survivor exits without publish_done or with a nonzero status.
-void run_proc(const api::Scenario& s, const std::function<void(Ctx&)>& body,
+void run_proc(const api::Scenario& s,
+              const std::function<void(Ctx&, Contribution&)>& body,
               api::Run& run);
 
 /// Worker-side publication hooks. current() is non-null exactly inside a
-/// proc-backend child; the workload's metered loop routes its per-op and
-/// end-of-run publication through it instead of the in-process mutex path.
+/// proc-backend child; the workload's metered loop publishes each completed
+/// op and, last, its finished mailbox slot through it.
 class Worker {
  public:
   /// This process's hooks, or nullptr outside a proc worker.
@@ -70,12 +74,11 @@ class Worker {
   /// that case).
   void publish_op(std::uint64_t value, std::uint64_t steps, const char* kind);
 
-  /// Publishes the finished-run Contribution: metrics, the latency
-  /// snapshot, the run's event-bus delta (relative to the fork point), and
-  /// the process's total paper-model steps. The worker exits as soon as its
-  /// body returns, so this is its last act.
-  void publish_done(const api::Metrics& m, const stats::LatencySnapshot& lat,
-                    std::uint64_t proc_steps);
+  /// Completes the mailbox slot the body filled (the process's total
+  /// paper-model steps, its wall time from the shared start stamp, the
+  /// event-bus delta relative to the fork point) and marks it ready. The
+  /// worker exits as soon as its body returns, so this is its last act.
+  void publish_done(std::uint64_t proc_steps);
 
   /// Constructed once per child process by the backend's child entry point
   /// (captures the fork-time event-bus baseline); not for general use.

@@ -1,9 +1,6 @@
 #include "stats/latency_recorder.h"
 
 #include <cmath>
-#include <stdexcept>
-
-#include "core/assert.h"
 
 namespace renamelib::stats {
 
@@ -79,103 +76,6 @@ std::vector<LatencySnapshot::Bar> LatencySnapshot::nonzero_buckets() const {
     if (buckets_[i] == 0) continue;
     out.push_back(Bar{LatencyBuckets::lower(i), LatencyBuckets::upper(i),
                       buckets_[i]});
-  }
-  return out;
-}
-
-LatencySnapshot LatencySnapshot::from_parts(std::uint64_t count, double sum,
-                                            double sum_sq, std::uint64_t min,
-                                            std::uint64_t max,
-                                            const std::vector<Bar>& bars) {
-  LatencySnapshot out;
-  std::uint64_t total = 0;
-  for (const Bar& b : bars) {
-    const std::size_t i = LatencyBuckets::index_of(b.lower);
-    if (LatencyBuckets::lower(i) != b.lower) {
-      throw std::invalid_argument(
-          "latency bucket lower edge " + std::to_string(b.lower) +
-          " is not a bucket boundary");
-    }
-    out.buckets_[i] += b.count;
-    total += b.count;
-  }
-  if (total != count) {
-    throw std::invalid_argument("latency bucket counts sum to " +
-                                std::to_string(total) + ", expected " +
-                                std::to_string(count));
-  }
-  if (count > 0) {
-    // min/max must lie inside the lowest/highest non-empty bucket — a
-    // corrupted min would otherwise silently inflate every percentile
-    // (percentile() clamps to min).
-    std::size_t lo = 0;
-    std::size_t hi = 0;
-    for (std::size_t i = 0; i < out.buckets_.size(); ++i) {
-      if (out.buckets_[i] == 0) continue;
-      if (out.buckets_[lo] == 0) lo = i;
-      hi = i;
-    }
-    if (LatencyBuckets::index_of(min) != lo ||
-        LatencyBuckets::index_of(max) != hi) {
-      throw std::invalid_argument(
-          "latency min/max (" + std::to_string(min) + ", " +
-          std::to_string(max) + ") do not lie in the extreme non-empty "
-          "buckets");
-    }
-  }
-  out.count_ = count;
-  out.sum_ = sum;
-  out.sum_sq_ = sum_sq;
-  out.min_ = count == 0 ? ~0ull : min;
-  out.max_ = max;
-  return out;
-}
-
-LatencyRecorder::LatencyRecorder(int threads) : threads_(threads) {
-  // Validate before allocating: a negative count cast to size_t would ask
-  // new[] for ~2^64 slots and throw bad_alloc instead of this diagnostic.
-  RENAMELIB_ENSURE(threads > 0, "latency recorder needs at least one thread");
-  slots_.reset(new Slot[static_cast<std::size_t>(threads)]);
-}
-
-void LatencyRecorder::record(int thread, std::uint64_t value) noexcept {
-  Slot& slot = slots_[static_cast<std::size_t>(thread)];
-  // Single-writer slot: plain load/store pairs are safe, atomics only make
-  // the concurrent snapshot() reader race-free.
-  slot.buckets[LatencyBuckets::index_of(value)].fetch_add(
-      1, std::memory_order_relaxed);
-  slot.count.fetch_add(1, std::memory_order_relaxed);
-  const double v = static_cast<double>(value);
-  slot.sum.store(slot.sum.load(std::memory_order_relaxed) + v,
-                 std::memory_order_relaxed);
-  slot.sum_sq.store(slot.sum_sq.load(std::memory_order_relaxed) + v * v,
-                    std::memory_order_relaxed);
-  if (value < slot.min.load(std::memory_order_relaxed)) {
-    slot.min.store(value, std::memory_order_relaxed);
-  }
-  if (value > slot.max.load(std::memory_order_relaxed)) {
-    slot.max.store(value, std::memory_order_relaxed);
-  }
-}
-
-LatencySnapshot LatencyRecorder::snapshot() const {
-  LatencySnapshot out;
-  for (int t = 0; t < threads_; ++t) {
-    const Slot& slot = slots_[static_cast<std::size_t>(t)];
-    // The total is derived from the bucket loads (not slot.count) so a
-    // mid-run snapshot is internally consistent: percentile ranks always
-    // match the bucket mass actually seen.
-    for (std::size_t i = 0; i < LatencyBuckets::kCount; ++i) {
-      const std::uint64_t n = slot.buckets[i].load(std::memory_order_relaxed);
-      out.buckets_[i] += n;
-      out.count_ += n;
-    }
-    out.sum_ += slot.sum.load(std::memory_order_relaxed);
-    out.sum_sq_ += slot.sum_sq.load(std::memory_order_relaxed);
-    const std::uint64_t mn = slot.min.load(std::memory_order_relaxed);
-    const std::uint64_t mx = slot.max.load(std::memory_order_relaxed);
-    if (mn < out.min_) out.min_ = mn;
-    if (mx > out.max_) out.max_ = mx;
   }
   return out;
 }

@@ -1,35 +1,31 @@
-// Concurrent tail-latency recording: per-thread, log-bucketed (HDR-style)
-// histograms with O(1) record and no overflow loss.
+// Tail-latency recording: log-bucketed (HDR-style) histograms with O(1)
+// add and no overflow loss.
 //
 // The paper's claims are statements about tails ("w.h.p.", O(log k) steps),
 // and a fixed-width histogram destroys exactly the tail we care about:
 // everything past its last bucket collapses into one overflow count.
-// LatencyRecorder instead buckets by value magnitude — kSubBuckets buckets
+// LatencySnapshot instead buckets by value magnitude — kSubBuckets buckets
 // per power of two — so the whole uint64 range is representable at a bounded
 // relative resolution (<= 1/kSubBuckets ~ 3%), a recording is a fixed-size
 // array regardless of sample count, and merging two recordings (across
-// threads or across runs) is bucket-wise addition.
+// processes or across runs) is bucket-wise addition.
 //
-// Concurrency model: one histogram slot per thread, cache-line aligned, each
-// written only by its owner thread (relaxed atomics make the concurrent
-// snapshot() read race-free). record() is wait-free: a bit-scan, one
-// fetch_add, and a handful of owner-only updates. A snapshot taken after the
-// writing threads joined is exact; one taken mid-run is a monotone lower
-// bound per bucket.
+// Concurrency model: none inside the type. A LatencySnapshot is a plain
+// trivially copyable value; the workload harness gives every process its own
+// cache-line-aligned result slot (proc::Contribution), each written only by
+// its owner, and merges the slots in pid order once the processes finished.
 #pragma once
 
 #include <array>
-#include <atomic>
 #include <bit>
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "stats/summary.h"
 
 namespace renamelib::stats {
 
-/// Log-bucket geometry shared by LatencyRecorder and LatencySnapshot.
+/// Log-bucket geometry of LatencySnapshot.
 struct LatencyBuckets {
   /// log2 of the sub-bucket count per power of two. 5 => 32 sub-buckets,
   /// <= 3.2% relative bucket width everywhere.
@@ -64,22 +60,22 @@ struct LatencyBuckets {
   }
 };
 
-/// A merged, immutable view of recorded values: dense log-bucket counts plus
-/// exact count/sum/min/max moments. Mergeable across threads and across
-/// runs; percentile queries resolve to the bucket holding the nearest-rank
-/// sample (error bounded by one log-bucket, <= 1/kSubBuckets relative).
+/// A recording of values: dense log-bucket counts plus exact
+/// count/sum/min/max moments. Trivially copyable (a fixed-size array, no
+/// heap), so it can live in a shared-memory result slot; mergeable across
+/// processes and across runs; percentile queries resolve to the bucket
+/// holding the nearest-rank sample (error bounded by one log-bucket,
+/// <= 1/kSubBuckets relative). At ~15 KiB it is too large to hold by value
+/// on a simulated process's 64 KiB fiber stack: record into a slot in place.
 class LatencySnapshot {
  public:
-  LatencySnapshot() : buckets_(LatencyBuckets::kCount, 0) {}
-
   /// Builds a snapshot from raw samples (values < 0 clamp to 0) — the
-  /// bridge for sample vectors that never went through a recorder, e.g.
-  /// simulated-backend step counts.
+  /// bridge for sample vectors, e.g. simulated-backend step counts.
   static LatencySnapshot of(const std::vector<double>& samples);
 
   /// Adds one value (exact moments + its bucket).
   void add(std::uint64_t value);
-  /// Bucket-wise merge of another recording (threads or runs).
+  /// Bucket-wise merge of another recording (processes or runs).
   void merge(const LatencySnapshot& o);
 
   std::uint64_t count() const { return count_; }
@@ -111,61 +107,17 @@ class LatencySnapshot {
   };
   std::vector<Bar> nonzero_buckets() const;
 
-  /// Rebuilds a snapshot from serialized moments + sparse buckets (the proc
-  /// mailbox). Throws std::invalid_argument if a bucket lower edge is not a
-  /// valid bucket boundary, counts disagree, or min/max lie outside the
-  /// extreme non-empty buckets.
-  static LatencySnapshot from_parts(std::uint64_t count, double sum,
-                                    double sum_sq, std::uint64_t min,
-                                    std::uint64_t max,
-                                    const std::vector<Bar>& bars);
-
   /// Exact moment accessors (serialized by reports).
   double sum() const { return sum_; }
   double sum_sq() const { return sum_sq_; }
 
  private:
-  friend class LatencyRecorder;
-
-  std::vector<std::uint64_t> buckets_;
+  std::array<std::uint64_t, LatencyBuckets::kCount> buckets_{};
   std::uint64_t count_ = 0;
   double sum_ = 0;
   double sum_sq_ = 0;
   std::uint64_t min_ = ~0ull;
   std::uint64_t max_ = 0;
-};
-
-/// The concurrent recorder: one cache-line-aligned log-bucket histogram per
-/// thread, written only by that thread. record() is wait-free O(1);
-/// snapshot() merges all threads.
-class LatencyRecorder {
- public:
-  /// One slot per thread; `threads` must cover every thread index passed to
-  /// record().
-  explicit LatencyRecorder(int threads);
-
-  int threads() const { return threads_; }
-
-  /// Records `value` for `thread` (0-based). Only `thread` itself may call
-  /// this with its index — the single-writer discipline is what makes the
-  /// slot updates contention-free.
-  void record(int thread, std::uint64_t value) noexcept;
-
-  /// Merged view across all threads. Exact once writers have joined.
-  LatencySnapshot snapshot() const;
-
- private:
-  struct alignas(64) Slot {
-    std::array<std::atomic<std::uint64_t>, LatencyBuckets::kCount> buckets{};
-    std::atomic<std::uint64_t> count{0};
-    std::atomic<std::uint64_t> min{~0ull};
-    std::atomic<std::uint64_t> max{0};
-    std::atomic<double> sum{0};
-    std::atomic<double> sum_sq{0};
-  };
-
-  int threads_;
-  std::unique_ptr<Slot[]> slots_;
 };
 
 }  // namespace renamelib::stats

@@ -863,6 +863,23 @@ TEST(WorkloadMetrics, DroppingOpSamplesKeepsMetricsAndLatency) {
   EXPECT_GT(run.metrics.ops_per_sec(), 0.0);
 }
 
+TEST(WorkloadMetrics, LatencySamplePeriodSamplesEveryNthOp) {
+  Scenario s;
+  s.nproc = 4;
+  s.ops_per_proc = 10;
+  s.backend = Backend::kHardware;
+  s.seed = 5;
+  s.latency_sample_period = 4;  // ops 0, 4 and 8 of each process
+  api::Run run = Workload::run_facet_spec(Facet::kCounter, "atomic_fai", s);
+  EXPECT_EQ(run.metrics.ops, 40u);
+  EXPECT_EQ(run.latency.count(), 12u);
+
+  s.latency_sample_period = 0;  // latency recording off
+  run = Workload::run_facet_spec(Facet::kCounter, "atomic_fai", s);
+  EXPECT_EQ(run.metrics.ops, 40u);
+  EXPECT_EQ(run.latency.count(), 0u);
+}
+
 TEST(WorkloadMetrics, SimulatedRunsHaveNoWallClock) {
   Scenario s;
   s.nproc = 2;

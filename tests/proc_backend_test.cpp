@@ -151,7 +151,7 @@ TEST(ProcBackendDeathTest, MoreThanMaxProcsIsRefusedBeforeFork) {
         const Scenario s = proc_scenario(kMaxProcs + 1, 1, 1);
         ShmArena arena(default_arena_bytes(s), s.seed);
         api::Run run;
-        run_proc(s, [](Ctx&) {}, run);
+        run_proc(s, [](Ctx&, Contribution&) {}, run);
       },
       "at most kMaxProcs processes");
 }
@@ -166,9 +166,9 @@ TEST(ProcBackendDeathTest, UnpublishedSurvivorAbortsNamingTheWorker) {
         api::Run run;
         run_proc(
             s,
-            [](Ctx& ctx) {
+            [](Ctx& ctx, Contribution&) {
               if (ctx.pid() == 1) return;
-              Worker::current()->publish_done(api::Metrics{}, {}, 0);
+              Worker::current()->publish_done(0);
             },
             run);
       },

@@ -20,14 +20,13 @@
 //
 // Exit codes: 0 clean, 1 oracle failures / nondeterminism / coverage
 // shortfall / failed replay, 2 usage errors.
-#include <charconv>
 #include <iostream>
-#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "api/registry.h"
+#include "args.h"
 #include "fuzz/corpus.h"
 #include "fuzz/fuzzer.h"
 #include "obs/flight_recorder.h"
@@ -50,65 +49,7 @@ int usage(std::ostream& out, int code) {
   return code;
 }
 
-/// Parsed --key=value / --flag command line.
-class Args {
- public:
-  Args(int argc, char** argv, int from) {
-    for (int i = from; i < argc; ++i) {
-      std::string arg = argv[i];
-      if (arg.rfind("--", 0) != 0) {
-        positional_.push_back(std::move(arg));
-        continue;
-      }
-      const auto eq = arg.find('=');
-      if (eq == std::string::npos) {
-        kv_.emplace_back(arg.substr(2), "");
-      } else {
-        kv_.emplace_back(arg.substr(2, eq - 2), arg.substr(eq + 1));
-      }
-    }
-  }
-
-  std::optional<std::string> get(const std::string& key) {
-    for (auto& [k, v] : kv_) {
-      if (k == key) {
-        seen_.push_back(k);
-        return v;
-      }
-    }
-    return std::nullopt;
-  }
-
-  std::uint64_t get_u64(const std::string& key, std::uint64_t def) {
-    const auto v = get(key);
-    if (!v.has_value()) return def;
-    std::uint64_t out = 0;
-    const auto [ptr, ec] =
-        std::from_chars(v->data(), v->data() + v->size(), out);
-    if (ec != std::errc{} || ptr != v->data() + v->size()) {
-      throw std::invalid_argument("--" + key + " needs an unsigned integer, "
-                                  "got '" + *v + "'");
-    }
-    return out;
-  }
-
-  bool flag(const std::string& key) { return get(key).has_value(); }
-
-  const std::vector<std::string>& positional() const { return positional_; }
-
-  void reject_unknown() const {
-    for (const auto& [k, v] : kv_) {
-      bool used = false;
-      for (const auto& s : seen_) used |= (s == k);
-      if (!used) throw std::invalid_argument("unknown flag '--" + k + "'");
-    }
-  }
-
- private:
-  std::vector<std::pair<std::string, std::string>> kv_;
-  std::vector<std::string> seen_;
-  std::vector<std::string> positional_;
-};
+using cli::Args;
 
 /// Deterministic session report: pure function of the summary (no wall
 /// clock, no paths that vary run-to-run), so --smoke can byte-compare it.

@@ -29,11 +29,9 @@
 // Exit codes: 0 success, 1 validation failure inside a run or a failed
 // claims check, 2 usage or spec errors (unknown names/keys surface the
 // registry's did-you-mean messages).
-#include <charconv>
 #include <cstdint>
 #include <cstring>
 #include <iostream>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -41,6 +39,7 @@
 #include "api/report.h"
 #include "api/spec.h"
 #include "api/workload.h"
+#include "args.h"
 #include "claims.h"
 #include "obs/event_bus.h"
 #include "obs/sites.h"
@@ -79,68 +78,7 @@ int usage(std::ostream& out, int code) {
   return code;
 }
 
-/// Parsed --key=value / --flag command line (after the subcommand).
-class Args {
- public:
-  Args(int argc, char** argv, int from) {
-    for (int i = from; i < argc; ++i) {
-      std::string arg = argv[i];
-      if (arg.rfind("--", 0) != 0) {
-        positional_.push_back(std::move(arg));
-        continue;
-      }
-      const auto eq = arg.find('=');
-      if (eq == std::string::npos) {
-        kv_.emplace_back(arg.substr(2), "");
-      } else {
-        kv_.emplace_back(arg.substr(2, eq - 2), arg.substr(eq + 1));
-      }
-    }
-  }
-
-  std::optional<std::string> get(const std::string& key) {
-    for (auto& [k, v] : kv_) {
-      if (k == key) {
-        seen_.push_back(k);
-        return v;
-      }
-    }
-    return std::nullopt;
-  }
-
-  std::uint64_t get_u64(const std::string& key, std::uint64_t def) {
-    const auto v = get(key);
-    if (!v.has_value()) return def;
-    // Full-match from_chars: "-1", "10xyz", and "" are usage errors (exit
-    // 2), not modular wraps or silent prefixes.
-    std::uint64_t out = 0;
-    const auto [ptr, ec] =
-        std::from_chars(v->data(), v->data() + v->size(), out);
-    if (ec != std::errc{} || ptr != v->data() + v->size()) {
-      throw std::invalid_argument("--" + key + " needs an unsigned integer, "
-                                  "got '" + *v + "'");
-    }
-    return out;
-  }
-
-  bool flag(const std::string& key) { return get(key).has_value(); }
-
-  const std::vector<std::string>& positional() const { return positional_; }
-
-  /// Throws on flags nobody consumed — typos must not silently no-op.
-  void reject_unknown() const {
-    for (const auto& [k, v] : kv_) {
-      bool used = false;
-      for (const auto& s : seen_) used |= (s == k);
-      if (!used) throw std::invalid_argument("unknown flag '--" + k + "'");
-    }
-  }
-
- private:
-  std::vector<std::pair<std::string, std::string>> kv_;
-  std::vector<std::string> seen_;
-  std::vector<std::string> positional_;
-};
+using cli::Args;
 
 std::vector<api::Facet> facets_from(Args& args) {
   const auto facet = args.get("facet");

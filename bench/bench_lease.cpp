@@ -35,7 +35,7 @@
 #include "fuzz/oracles.h"
 #include "lease/lease_broker.h"
 #include "obs/event_bus.h"
-#include "stats/latency_recorder.h"
+#include "stats/latency_snapshot.h"
 #include "stats/table.h"
 
 namespace renamelib {

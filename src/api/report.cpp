@@ -87,8 +87,15 @@ void append_latency(std::string& out, const stats::LatencySnapshot& lat,
   const auto bars = lat.nonzero_buckets();
   for (std::size_t i = 0; i < bars.size(); ++i) {
     if (i > 0) out += ", ";
-    out += "[" + fmt_u64(bars[i].lower) + ", " + fmt_u64(bars[i].upper) +
-           ", " + fmt_u64(bars[i].count) + "]";
+    // Appends, not `"[" + std::string&&`: GCC 12 at -O3 reports a false
+    // -Wrestrict inside libstdc++ for that concatenation.
+    out += '[';
+    out += fmt_u64(bars[i].lower);
+    out += ", ";
+    out += fmt_u64(bars[i].upper);
+    out += ", ";
+    out += fmt_u64(bars[i].count);
+    out += ']';
   }
   out += "]\n" + indent + "}";
 }

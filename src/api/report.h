@@ -47,7 +47,7 @@
 #include <vector>
 
 #include "obs/event_bus.h"
-#include "stats/latency_recorder.h"
+#include "stats/latency_snapshot.h"
 
 namespace renamelib::api {
 

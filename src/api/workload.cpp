@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <iterator>
 #include <memory>
 #include <optional>
@@ -10,7 +9,6 @@
 #include <thread>
 
 #include "core/assert.h"
-#include "core/register.h"
 #include "core/rng.h"
 #include "obs/emit.h"
 #include "proc/mailbox.h"
@@ -89,31 +87,6 @@ std::unique_ptr<sim::Adversary> make_adversary(const Scenario& s) {
                                                std::move(crash_at), victims);
 }
 
-/// Zipf(s) sampler over ranks {1..n}: precomputed CDF, one uniform01 draw
-/// (charged as a coin flip through Ctx::rng) plus a binary search. Rank 1 is
-/// the hot value, so small think/burst lengths dominate with a heavy tail.
-class ZipfDraw {
- public:
-  ZipfDraw(int n, double s) : cdf_(static_cast<std::size_t>(n)) {
-    double total = 0;
-    for (int k = 1; k <= n; ++k) {
-      total += 1.0 / std::pow(static_cast<double>(k), s);
-      cdf_[static_cast<std::size_t>(k - 1)] = total;
-    }
-    for (double& c : cdf_) c /= total;
-  }
-
-  /// Rank in [1, n].
-  std::uint64_t draw(Rng& rng) const {
-    const double u = rng.uniform01();
-    const auto it = std::lower_bound(cdf_.begin(), cdf_.end(), u);
-    return static_cast<std::uint64_t>(it - cdf_.begin()) + 1;
-  }
-
- private:
-  std::vector<double> cdf_;
-};
-
 }  // namespace
 
 Run Workload::run_metered(
@@ -139,62 +112,23 @@ Run Workload::run_metered(
       scenario_.keep_op_samples && !proc
           ? static_cast<std::size_t>(scenario_.nproc)
           : 0);
-  // Think-time target: a harness-owned shared register, so every think step
-  // is adversary-schedulable (simulated) or a real coherent load (hardware).
-  // Note: on the proc backend this register lives in the parent's heap, so
-  // each process thinks against its own copy-on-write copy — a local pause,
-  // which is all the arrival shaping needs there.
-  Register<std::uint64_t> scratch;
-  // Zipf-skewed arrival draws (Scenario::zipf_s): precomputed rank CDFs,
-  // shared read-only across processes.
-  std::optional<ZipfDraw> zipf_think, zipf_burst;
-  if (scenario_.zipf_s > 0 && scenario_.think_max > 0) {
-    zipf_think.emplace(scenario_.think_max + 1, scenario_.zipf_s);
-    zipf_burst.emplace(scenario_.burst_max, scenario_.zipf_s);
-  }
-
   // Sample kinds are only materialized when something records them.
   const bool need_kind = scenario_.record_history || scenario_.keep_op_samples;
 
   // Runs on a simulated process's 64 KiB fiber stack: the slot is written in
   // place, never copied (a LatencySnapshot is ~15 KiB).
-  auto body = [&](Ctx& ctx, proc::Contribution& slot) {
+  auto body = [&](Ctx& ctx, Contribution& slot) {
     std::vector<OpSample>* ops =
         samples.empty() ? nullptr
                         : &samples[static_cast<std::size_t>(ctx.pid())].ops;
     if (ops != nullptr) {
       ops->reserve(static_cast<std::size_t>(scenario_.ops_per_proc));
     }
-    int burst_left = 0;
     // Countdown instead of `i % period`: a per-op integer division is
     // measurable against nanosecond-scale batched operations. Starts at 1 so
     // op 0 is sampled, matching the old modulo phase.
     int until_sample = 1;
     for (int i = 0; i < scenario_.ops_per_proc; ++i) {
-      if (scenario_.think_max > 0) {
-        // Think before every op (steady) or before each burst (bursty).
-        // Placed before the OpMeter so think steps land in process totals
-        // but never inflate an operation's metered cost.
-        bool pause = true;
-        if (scenario_.arrival == Arrival::kBursty) {
-          pause = burst_left == 0;
-          if (pause) {
-            burst_left = static_cast<int>(
-                zipf_burst ? zipf_burst->draw(ctx.rng())
-                           : 1 + ctx.rng().below(static_cast<std::uint64_t>(
-                                     scenario_.burst_max)));
-          }
-          --burst_left;
-        }
-        if (pause) {
-          const auto think =
-              zipf_think ? zipf_think->draw(ctx.rng()) - 1
-                         : ctx.rng().below(
-                               static_cast<std::uint64_t>(scenario_.think_max) +
-                               1);
-          for (std::uint64_t t = 0; t < think; ++t) scratch.load(ctx);
-        }
-      }
       const char* kind = need_kind ? kind_of(i) : "";
       const std::uint64_t token = recorder ? recorder->invoke() : 0;
       OpMeter meter(ctx);
@@ -290,7 +224,7 @@ Run Workload::run_body(const std::function<void(Ctx&)>& body) const {
   // Proc-granular run: the whole-process Ctx counters go into the slot at
   // body completion (no per-op samples, so ops stays 0).
   execute(
-      [&body](Ctx& ctx, proc::Contribution& slot) {
+      [&body](Ctx& ctx, Contribution& slot) {
         body(ctx);
         slot.metrics.steps = ctx.steps();
         slot.metrics.shared_steps = ctx.shared_steps();
@@ -301,7 +235,7 @@ Run Workload::run_body(const std::function<void(Ctx&)>& body) const {
 }
 
 void Workload::execute(
-    const std::function<void(Ctx&, proc::Contribution&)>& body,
+    const std::function<void(Ctx&, Contribution&)>& body,
     Run& run) const {
   RENAMELIB_ENSURE(scenario_.nproc > 0, "scenario needs at least one process");
   RENAMELIB_ENSURE(
@@ -311,9 +245,6 @@ void Workload::execute(
   RENAMELIB_ENSURE(!scenario_.crashes.enabled() ||
                        scenario_.crashes.crash_step_max >= 1,
                    "crash plan needs crash_step_max >= 1");
-  RENAMELIB_ENSURE(scenario_.think_max >= 0 && scenario_.burst_max >= 1,
-                   "arrival shaping needs think_max >= 0 and burst_max >= 1");
-  RENAMELIB_ENSURE(scenario_.zipf_s >= 0, "scenario needs zipf_s >= 0");
   if (scenario_.backend == Backend::kProc) {
     RENAMELIB_ENSURE(!scenario_.record_history,
                      "history recording is not supported on the proc backend "
@@ -330,11 +261,10 @@ void Workload::execute(
   const obs::EventSnapshot events_before =
       events_on ? obs::EventBus::instance().snapshot() : obs::EventSnapshot{};
   const auto nproc = static_cast<std::size_t>(scenario_.nproc);
-  const std::unique_ptr<proc::Contribution[]> slots(
-      new proc::Contribution[nproc]);
+  const std::unique_ptr<Contribution[]> slots(new Contribution[nproc]);
   // Crashed processes stop at the throw and never reach finish().
   auto run_one = [&](Ctx& ctx) {
-    proc::Contribution& slot = slots[static_cast<std::size_t>(ctx.pid())];
+    Contribution& slot = slots[static_cast<std::size_t>(ctx.pid())];
     body(ctx, slot);
     slot.finish(ctx.steps());
   };

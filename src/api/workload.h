@@ -19,6 +19,7 @@
 #include <string>
 #include <vector>
 
+#include "api/contribution.h"
 #include "api/counter.h"
 #include "api/metrics.h"
 #include "api/readable.h"
@@ -26,11 +27,7 @@
 #include "api/renaming.h"
 #include "obs/event_bus.h"
 #include "sim/linearizability.h"
-#include "stats/latency_recorder.h"
-
-namespace renamelib::proc {
-struct Contribution;
-}  // namespace renamelib::proc
+#include "stats/latency_snapshot.h"
 
 namespace renamelib::api {
 
@@ -53,17 +50,6 @@ enum class Sched {
   kRandom,       ///< uniformly random enabled process each step
   kRoundRobin,   ///< fixed rotation over enabled processes
   kObstruction,  ///< runs one process solo as long as possible
-};
-
-/// Arrival shaping between a process's consecutive operations. Thinking is
-/// modeled as reads of a harness-owned scratch register, so on the simulated
-/// backend every think step is a scheduling point the adversary can exploit
-/// (pure local delays would be invisible to it) and on hardware it is a real
-/// cache-coherent pause. Think steps are charged to the process totals but
-/// not to any operation's metered cost.
-enum class Arrival {
-  kSteady,  ///< think before every operation
-  kBursty,  ///< run a burst of back-to-back ops, then think once
 };
 
 /// Crash-injection plan layered over the Sched strategy (simulated and proc
@@ -104,24 +90,6 @@ struct Scenario {
   /// O(1) in the op count — validation then goes through object-side
   /// invariants (e.g. IRenaming::holders) instead of Run::values().
   bool keep_op_samples = true;
-  /// Think-time/arrival shaping (workload realism knobs, used heavily by the
-  /// generated scenarios in src/fuzz). 0 disables thinking entirely (the
-  /// default — existing scenarios are unchanged). When > 0, a process draws
-  /// think in [0, think_max] scratch-register reads before an operation
-  /// (kSteady) or before each burst (kBursty; burst lengths drawn from
-  /// [1, burst_max]).
-  int think_max = 0;
-  /// Arrival pattern; only meaningful when think_max > 0.
-  Arrival arrival = Arrival::kSteady;
-  /// kBursty: operations per burst are drawn from [1, burst_max].
-  int burst_max = 4;
-  /// Hot-key skew for the arrival draws. 0 (the default) keeps them
-  /// uniform. When > 0, think lengths and burst lengths are drawn
-  /// Zipf(zipf_s)-distributed over their ranges instead of uniformly —
-  /// short pauses/bursts dominate with a heavy tail of long ones, the
-  /// classic skewed-load shape. Drawn through Ctx::rng, so the draws stay
-  /// deterministic per (seed, pid) and are charged as coin flips.
-  double zipf_s = 0;
   /// Readable-counter mix: every read_period-th operation is a read() (3 =
   /// the historical 2:1 inc/read mix; 1 = reads only). Must be >= 1.
   int read_period = 3;
@@ -225,7 +193,7 @@ class Workload {
   /// Runs `body(ctx, slot)` once per process on the scenario's backend,
   /// where `slot` is that process's own result slot, then folds the slots
   /// into `run` in pid order.
-  void execute(const std::function<void(Ctx&, proc::Contribution&)>& body,
+  void execute(const std::function<void(Ctx&, Contribution&)>& body,
                Run& run) const;
 
   Scenario scenario_;

@@ -42,10 +42,6 @@ std::uint64_t Rng::below(std::uint64_t bound) noexcept {
   }
 }
 
-double Rng::uniform01() noexcept {
-  return static_cast<double>(next() >> 11) * 0x1.0p-53;
-}
-
 std::uint64_t Rng::derive(std::uint64_t seed, std::uint64_t salt) noexcept {
   std::uint64_t s = seed ^ (0x9e3779b97f4a7c15ULL * (salt + 1));
   (void)splitmix64(s);

@@ -35,9 +35,6 @@ class Rng {
   /// Fair coin flip.
   bool coin() noexcept { return (next() >> 63) != 0; }
 
-  /// Uniform double in [0, 1).
-  double uniform01() noexcept;
-
   /// Derives an independent child seed; deterministic in (parent seed, salt).
   static std::uint64_t derive(std::uint64_t seed, std::uint64_t salt) noexcept;
 

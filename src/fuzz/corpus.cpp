@@ -43,16 +43,6 @@ api::Sched sched_from(const std::string& s) {
   throw std::invalid_argument("fuzz case: unknown sched '" + s + "'");
 }
 
-const char* arrival_name(api::Arrival a) {
-  return a == api::Arrival::kBursty ? "bursty" : "steady";
-}
-
-api::Arrival arrival_from(const std::string& s) {
-  if (s == "steady") return api::Arrival::kSteady;
-  if (s == "bursty") return api::Arrival::kBursty;
-  throw std::invalid_argument("fuzz case: unknown arrival '" + s + "'");
-}
-
 /// Escapes the two characters the writer can actually emit inside a string
 /// (spec grammar forbids quotes/backslashes; notes are author-controlled,
 /// but a stray quote must not corrupt the document).
@@ -164,10 +154,6 @@ api::Scenario FuzzCase::scenario() const {
   s.seed = seed;
   s.crashes.max_crashes = max_crashes;
   s.crashes.crash_step_max = crash_step_max;
-  s.arrival = arrival;
-  s.think_max = think_max;
-  s.burst_max = burst_max;
-  s.zipf_s = static_cast<double>(zipf_milli) / 1000.0;
   s.read_period = read_period;
   return s;
 }
@@ -185,10 +171,6 @@ std::string serialize_case(const FuzzCase& c) {
   out << "  \"seed\": " << c.seed << ",\n";
   out << "  \"max_crashes\": " << c.max_crashes << ",\n";
   out << "  \"crash_step_max\": " << c.crash_step_max << ",\n";
-  out << "  \"arrival\": \"" << arrival_name(c.arrival) << "\",\n";
-  out << "  \"think_max\": " << c.think_max << ",\n";
-  out << "  \"burst_max\": " << c.burst_max << ",\n";
-  out << "  \"zipf_milli\": " << c.zipf_milli << ",\n";
   out << "  \"read_period\": " << c.read_period << ",\n";
   out << "  \"note\": \"" << escape(c.note) << "\"\n";
   out << "}\n";
@@ -213,11 +195,6 @@ FuzzCase parse_case(const std::string& text) {
   c.seed = take_u64(kv, "seed", 1);
   c.max_crashes = static_cast<std::size_t>(take_u64(kv, "max_crashes", 0));
   c.crash_step_max = take_u64(kv, "crash_step_max", 2);
-  c.arrival = arrival_from(take_str(kv, "arrival", "steady"));
-  c.think_max = static_cast<int>(take_u64(kv, "think_max", 0));
-  c.burst_max = static_cast<int>(take_u64(kv, "burst_max", 4));
-  // Tolerant default: pre-zipf corpus files parse unchanged (uniform draws).
-  c.zipf_milli = take_u64(kv, "zipf_milli", 0);
   c.read_period = static_cast<int>(take_u64(kv, "read_period", 3));
   c.note = take_str(kv, "note", "");
   if (!kv.empty()) {

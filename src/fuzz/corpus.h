@@ -5,9 +5,9 @@
 /// A FuzzCase pins everything a generated execution depends on: the facet
 /// and canonical spec text, the workload shape (standard facet workload,
 /// acquire/release churn, or exhaustive schedule exploration), the scenario
-/// geometry (procs, ops, adversary, crash plan, arrival shaping), and the
-/// seed. Under the simulated backend that triple is a pure function — the
-/// same case replays the same execution, byte for byte — which is what makes
+/// geometry (procs, ops, adversary, crash plan, read mix), and the seed.
+/// Under the simulated backend that triple is a pure function — the same
+/// case replays the same execution, byte for byte — which is what makes
 /// shrunk failures committable: tests/corpus/*.json are FuzzCases serialized
 /// in the flat `renamelib.fuzz_case.v1` format, replayed verbatim by the
 /// corpus_replay ctest and by `fuzzctl replay`.
@@ -43,13 +43,6 @@ struct FuzzCase {
   std::uint64_t seed = 1;
   std::size_t max_crashes = 0;        ///< crash plan; 0 disables
   std::uint64_t crash_step_max = 2;   ///< crash thresholds in [1, this]
-  api::Arrival arrival = api::Arrival::kSteady;
-  int think_max = 0;    ///< scratch-register reads per pause, 0 disables
-  int burst_max = 4;    ///< kBursty: ops per burst in [1, this]
-  /// Scenario::zipf_s in fixed-point milli units (1500 = s of 1.5), keeping
-  /// the corpus format integer-only. 0 keeps the arrival draws uniform;
-  /// meaningful only with think_max > 0 (sanitize zeroes it otherwise).
-  std::uint64_t zipf_milli = 0;
   int read_period = 3;  ///< readable facet: every Nth op reads
   std::string note;     ///< provenance (what this repro regressed), free text
 

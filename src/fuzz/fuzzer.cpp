@@ -143,6 +143,40 @@ std::string schedule_text(const std::vector<int>& schedule) {
   return out;
 }
 
+/// Work::kExplore: enumerates (from `seed`) the schedules of `nproc`
+/// processes, each running `ops` operations through a per-op function that
+/// `make_op` binds to a fresh object per execution, and judges every
+/// execution's collected values with `judge`. The first failing verdict is
+/// recorded in `r` with its schedule; `values_out` keeps the last
+/// execution's values.
+void explore_case(
+    std::uint64_t seed, int nproc, int ops,
+    const std::function<std::function<std::uint64_t(Ctx&)>()>& make_op,
+    const std::function<OracleResult(const std::vector<std::uint64_t>&)>&
+        judge,
+    CaseResult& r, std::vector<std::uint64_t>& values_out) {
+  OracleResult verdict = OracleResult::pass("explore");
+  const auto make_body = [&] {
+    values_out.clear();
+    return std::function<void(Ctx&)>(
+        [&values_out, op = make_op(), ops](Ctx& ctx) {
+          for (int i = 0; i < ops; ++i) values_out.push_back(op(ctx));
+        });
+  };
+  const auto invariant = [&](const sim::SimResult&) {
+    const OracleResult v = judge(values_out);
+    if (!v.ok) verdict = v;
+    return v.ok;
+  };
+  const sim::ExploreResult res = sim::explore_schedules(
+      nproc, make_body, invariant,
+      {seed, kExploreMaxDepth, kExploreMaxExecutions});
+  if (res.invariant_violated) {
+    verdict.detail += " [schedule " + schedule_text(res.counterexample) + "]";
+    add_result(r, verdict);
+  }
+}
+
 /// Scenario for the clamped geometry (the case's own scenario with the
 /// harness-derived proc/op counts substituted in).
 api::Scenario clamped_scenario(const FuzzCase& c, int nproc, int ops,
@@ -180,30 +214,17 @@ CaseResult run_counter_case(const api::Registry& reg, const api::Spec& spec,
   r.attempted = planned;
 
   if (c.work == Work::kExplore) {
-    auto values = std::make_shared<std::vector<std::uint64_t>>();
-    OracleResult verdict = OracleResult::pass("explore");
-    const auto make_body = [&reg, &spec, values, ops] {
-      values->clear();
-      std::shared_ptr<api::ICounter> counter = reg.make_counter(spec);
-      return std::function<void(Ctx&)>([counter, values, ops](Ctx& ctx) {
-        for (int i = 0; i < ops; ++i) values->push_back(counter->next(ctx));
-      });
-    };
-    const auto invariant = [&](const sim::SimResult&) {
-      const OracleResult v = judge_counter_values(
-          spec, info->consistency, *values, planned, nproc, /*crashed=*/0);
-      if (!v.ok) verdict = v;
-      return v.ok;
-    };
-    const sim::ExploreResult res = sim::explore_schedules(
-        nproc, make_body, invariant,
-        {c.seed, kExploreMaxDepth, kExploreMaxExecutions});
-    if (res.invariant_violated) {
-      verdict.detail +=
-          " [schedule " + schedule_text(res.counterexample) + "]";
-      add_result(r, verdict);
-    }
-    values_out = *values;
+    explore_case(
+        c.seed, nproc, ops,
+        [&] {
+          std::shared_ptr<api::ICounter> counter = reg.make_counter(spec);
+          return [counter](Ctx& ctx) { return counter->next(ctx); };
+        },
+        [&](const std::vector<std::uint64_t>& values) {
+          return judge_counter_values(spec, info->consistency, values,
+                                      planned, nproc, /*crashed=*/0);
+        },
+        r, values_out);
     return r;
   }
 
@@ -317,29 +338,16 @@ CaseResult run_renaming_case(const api::Registry& reg, const api::Spec& spec,
   r.attempted = planned;
 
   if (c.work == Work::kExplore) {
-    auto names = std::make_shared<std::vector<std::uint64_t>>();
-    OracleResult verdict = OracleResult::pass("explore");
-    const auto make_body = [&reg, &spec, names, ops] {
-      names->clear();
-      std::shared_ptr<api::IRenaming> obj = reg.make_renaming(spec);
-      return std::function<void(Ctx&)>([obj, names, ops](Ctx& ctx) {
-        for (int i = 0; i < ops; ++i) names->push_back(obj->acquire(ctx));
-      });
-    };
-    const auto invariant = [&](const sim::SimResult&) {
-      const OracleResult v = check_renaming_names(*names, bound);
-      if (!v.ok) verdict = v;
-      return v.ok;
-    };
-    const sim::ExploreResult res = sim::explore_schedules(
-        nproc, make_body, invariant,
-        {c.seed, kExploreMaxDepth, kExploreMaxExecutions});
-    if (res.invariant_violated) {
-      verdict.detail +=
-          " [schedule " + schedule_text(res.counterexample) + "]";
-      add_result(r, verdict);
-    }
-    values_out = *names;
+    explore_case(
+        c.seed, nproc, ops,
+        [&] {
+          std::shared_ptr<api::IRenaming> obj = reg.make_renaming(spec);
+          return [obj](Ctx& ctx) { return obj->acquire(ctx); };
+        },
+        [bound](const std::vector<std::uint64_t>& names) {
+          return check_renaming_names(names, bound);
+        },
+        r, values_out);
     return r;
   }
 
@@ -429,8 +437,7 @@ CaseResult run_case(const FuzzCase& c, const ExtraOracle& extra) {
   const api::Registry& reg = api::Registry::global();
   const api::Spec spec = api::Spec::parse(c.spec);
   reg.validate(c.facet, spec);
-  if (c.nproc < 1 || c.ops_per_proc < 1 || c.read_period < 1 ||
-      c.burst_max < 1 || c.think_max < 0) {
+  if (c.nproc < 1 || c.ops_per_proc < 1 || c.read_period < 1) {
     throw std::invalid_argument("fuzz case: non-positive scenario geometry");
   }
   guard_lease_procs(spec, c.nproc);
@@ -544,10 +551,6 @@ FuzzCase Fuzzer::shrink(const FuzzCase& c, int budget) const {
       t = cur; t.max_crashes = cur.max_crashes / 2; push(t);
       t = cur; t.crash_step_max = 1; push(t);
     }
-    if (cur.think_max > 0) {
-      t = cur; t.think_max = 0; t.arrival = api::Arrival::kSteady; push(t);
-    }
-    if (cur.burst_max > 1) { t = cur; t.burst_max = 1; push(t); }
     if (cur.facet == api::Facet::kReadable && cur.read_period > 1) {
       t = cur; t.read_period = cur.read_period - 1; push(t);
     }

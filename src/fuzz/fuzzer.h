@@ -20,7 +20,7 @@
 ///      this Fuzzer instance has never seen joins the mutation queue.
 ///
 /// On an oracle failure the (spec, scenario, seed) triple is shrunk
-/// greedily — fewer procs, fewer ops, no crashes/thinking, spec options
+/// greedily — fewer procs, fewer ops, no crashes, spec options
 /// walked toward their schema minimum or dropped to defaults, nested inners
 /// reduced — accepting any reduction that still fails, to a fixpoint or the
 /// shrink budget. The minimized case is serialized into the output corpus

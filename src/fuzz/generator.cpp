@@ -12,6 +12,11 @@ namespace {
 /// without reaching new protocol states at fuzz scale.
 constexpr std::uint64_t kGenerationCap = 4096;
 
+/// The same ceiling for exploration cases, which construct their object
+/// afresh for every enumerated schedule (thousands per case) while their at
+/// most 3 x 2 operations touch only a few of its slots, balancers or cells.
+constexpr std::uint64_t kExploreCap = 64;
+
 std::uint64_t pow2_at_most(std::uint64_t v) {
   std::uint64_t p = 1;
   while (p * 2 <= v) p *= 2;
@@ -100,18 +105,6 @@ void Generator::random_scenario(FuzzCase& c, Rng& rng) const {
   } else {
     c.max_crashes = 0;
   }
-  if (rng.below(10) < 4) {
-    c.think_max = 1 + static_cast<int>(rng.below(4));
-    c.arrival = rng.coin() ? api::Arrival::kBursty : api::Arrival::kSteady;
-    c.burst_max = 1 + static_cast<int>(rng.below(4));
-    // Half the arrival-shaped cases skew the pause draws hot-key style;
-    // s in [0.5, 2.0) covers gentle through heavily concentrated.
-    c.zipf_milli = rng.coin() ? 0 : 500 + rng.below(1500);
-  } else {
-    c.think_max = 0;
-    c.arrival = api::Arrival::kSteady;
-    c.zipf_milli = 0;
-  }
   c.read_period = 1 + static_cast<int>(rng.below(4));
   c.work = Work::kStandard;
   if (c.facet != api::Facet::kReadable && rng.below(12) == 0) {
@@ -139,7 +132,7 @@ FuzzCase Generator::mutate(const FuzzCase& c, Rng& rng) const {
   FuzzCase m = c;
   const int tweaks = 1 + static_cast<int>(rng.below(3));
   for (int t = 0; t < tweaks; ++t) {
-    switch (rng.below(10)) {
+    switch (rng.below(9)) {
       case 0:
         m.nproc += static_cast<int>(rng.below(3)) - 1;
         break;
@@ -161,15 +154,9 @@ FuzzCase Generator::mutate(const FuzzCase& c, Rng& rng) const {
         m.sched = static_cast<api::Sched>(rng.below(3));
         break;
       case 5:
-        m.think_max = static_cast<int>(rng.below(5));
-        m.arrival = rng.coin() ? api::Arrival::kBursty : api::Arrival::kSteady;
-        m.burst_max = 1 + static_cast<int>(rng.below(4));
-        m.zipf_milli = rng.coin() ? 0 : 500 + rng.below(1500);
-        break;
-      case 6:
         m.read_period = 1 + static_cast<int>(rng.below(4));
         break;
-      case 7:
+      case 6:
         m.work = static_cast<Work>(rng.below(3));
         break;
       default: {
@@ -186,6 +173,30 @@ FuzzCase Generator::mutate(const FuzzCase& c, Rng& rng) const {
   }
   sanitize(m);
   return m;
+}
+
+api::Spec Generator::cap_ints(const api::Spec& spec, api::Facet facet,
+                               std::uint64_t cap) const {
+  const api::EntryDescription* entry = entry_of(facet, spec.name());
+  if (entry == nullptr) return spec;
+  api::Spec out(spec.name());
+  for (const auto& [key, value] : spec.options()) {
+    const auto o = std::find_if(
+        entry->options.begin(), entry->options.end(),
+        [&key](const api::OptionSchema& s) { return s.key == key; });
+    if (o != entry->options.end() && value.is_spec()) {
+      out.set(key, api::SpecValue(cap_ints(value.spec(), o->spec_facet, cap)));
+    } else if (o != entry->options.end() &&
+               o->type == api::OptionSchema::Type::kInt &&
+               std::stoull(value.scalar()) > cap) {
+      const std::uint64_t v =
+          std::max(o->min, o->pow2 ? pow2_at_most(cap) : cap);
+      out.set(key, api::SpecValue(std::to_string(v)));
+    } else {
+      out.set(key, value);
+    }
+  }
+  return out;
 }
 
 api::Spec Generator::repair_spec(const api::Spec& spec, api::Facet facet,
@@ -262,10 +273,6 @@ void Generator::sanitize(FuzzCase& c) const {
   c.nproc = std::clamp(c.nproc, 1, 8);
   c.ops_per_proc = std::clamp(c.ops_per_proc, 1, 16);
   c.read_period = std::clamp(c.read_period, 1, 16);
-  c.burst_max = std::clamp(c.burst_max, 1, 16);
-  c.think_max = std::clamp(c.think_max, 0, 16);
-  // s above 4 degenerates to "always the hottest key".
-  if (c.zipf_milli > 4000) c.zipf_milli = 4000;
   if (c.nproc <= 1) c.max_crashes = 0;
   if (c.max_crashes >= static_cast<std::size_t>(c.nproc)) {
     c.max_crashes = static_cast<std::size_t>(c.nproc) - 1;
@@ -281,19 +288,16 @@ void Generator::sanitize(FuzzCase& c) const {
   }
   if (c.work == Work::kExplore) {
     // Exploration enumerates every schedule: keep the tree small, and crash
-    // and think decisions out of it (they would multiply the branching
-    // without adding states exploration cannot already reach).
+    // decisions out of it (they would multiply the branching without adding
+    // states exploration cannot already reach).
     c.nproc = std::min(c.nproc, 3);
     c.ops_per_proc = std::min(c.ops_per_proc, 2);
     c.max_crashes = 0;
-    c.think_max = 0;
   }
-  // Zipf skew only shapes the think-pause draws: without pauses it is inert,
-  // so zero it (this also covers kExplore, which just zeroed think_max).
-  if (c.think_max == 0) c.zipf_milli = 0;
 
   try {
     api::Spec spec = api::Spec::parse(c.spec);
+    if (c.work == Work::kExplore) spec = cap_ints(spec, c.facet, kExploreCap);
     spec = repair_spec(spec, c.facet, c.nproc);
     c.spec = registry_.canonical(c.facet, spec.print());
   } catch (const std::exception&) {

@@ -8,7 +8,7 @@
 /// that keeps construction cheap), every enum choice, and nested spec
 /// options recursing into the target facet's own catalog up to a fixed
 /// depth. Scenarios pair the spec with adversarial geometry: crash
-/// storms, think-time/bursty arrivals, hot read mixes, and (for small cases)
+/// storms, scheduler strategies, hot read mixes, and (for small cases)
 /// exhaustive schedule exploration via sim/explore.
 ///
 /// sanitize() is the one place runtime invariants are enforced — the library
@@ -50,7 +50,8 @@ class Generator {
 
   /// A mutant of `c`: 1-3 tweaks drawn from {re-roll one spec option, drop
   /// one option, regrow a nested inner, bump geometry, toggle the crash
-  /// plan, reshape arrivals, switch scheduler/workload, reseed}. Sanitized.
+  /// plan, change the read mix, switch scheduler/workload, reseed}.
+  /// Sanitized.
   FuzzCase mutate(const FuzzCase& c, Rng& rng) const;
 
   /// A random valid Spec for `entry`; `depth` counts this level (nested
@@ -59,7 +60,8 @@ class Generator {
                         int depth) const;
 
   /// Enforces every runtime invariant a case could trip (see file comment):
-  /// geometry clamps, workload legality per facet/entry, lease procs= at
+  /// geometry clamps, workload legality per facet/entry, integer options of
+  /// exploration cases capped at a small size, lease procs= at
   /// least the scenario's nproc (recursively through nested specs), bounded
   /// inner dispensers under a lease wide enough not to saturate mid-run.
   /// Idempotent; falls back to the entry's bare default spec if the spec
@@ -72,6 +74,11 @@ class Generator {
                                         const std::string& name) const;
   std::string random_int_value(const api::OptionSchema& o, Rng& rng) const;
   void random_scenario(FuzzCase& c, Rng& rng) const;
+  /// `spec` with every integer option above `cap` (nested inners included)
+  /// lowered to it, kept at or above the schema minimum and a power of two
+  /// where the schema asks for one.
+  api::Spec cap_ints(const api::Spec& spec, api::Facet facet,
+                     std::uint64_t cap) const;
   api::Spec repair_spec(const api::Spec& spec, api::Facet facet,
                         int nproc) const;
 

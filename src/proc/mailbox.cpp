@@ -3,23 +3,12 @@
 #include <cstring>
 #include <new>
 
-#include "api/workload.h"
 #include "core/assert.h"
 
 namespace renamelib::proc {
 namespace {
 std::size_t align64(std::size_t v) { return (v + 63) & ~std::size_t{63}; }
 }  // namespace
-
-void Contribution::fold_into(api::Run& run, bool finished) const {
-  run.metrics.merge(metrics);
-  run.latency.merge(latency);
-  run.events.merge(events);
-  if (finished) {
-    run.proc_steps.push_back(proc_steps);
-    run.finished_procs += 1;
-  }
-}
 
 std::size_t Layout::bytes_for(int nproc, int ring_ops) {
   const auto n = static_cast<std::size_t>(nproc);

@@ -1,33 +1,25 @@
 /// \file
-/// \brief The per-process result slot every backend writes (Contribution)
-/// and the proc backend's shared-memory wire format: per-process mailboxes
-/// holding those slots, crash-surviving op rings, and the control block
-/// (start barrier, crash plan, kind table) — laid out into a ShmArena by
-/// Layout::create.
+/// \brief The proc backend's shared-memory wire format: per-process
+/// mailboxes holding each worker's result slot (api::Contribution),
+/// crash-surviving op rings, and the control block (start barrier, crash
+/// plan, kind table) — laid out into a ShmArena by Layout::create.
 ///
 /// Everything here is trivially copyable, fixed-size, and self-contained
 /// (no pointers), because these structures are written in one process and
 /// read in another: a worker fills its Mailbox's Contribution and exits, and
 /// an OpSlot written by a worker that is then SIGKILLed must still parse in
-/// the parent. The slot holds the rich telemetry types themselves
-/// (api::Metrics, stats::LatencySnapshot, obs::EventSnapshot are all
-/// trivially copyable), so nothing is converted crossing the boundary and
-/// the parent's fold of the survivors' mailboxes equals the per-process sums
-/// exactly (the acceptance bar for this backend).
+/// the parent. The slot is trivially copyable (api/contribution.h), so
+/// nothing is converted crossing the boundary and the parent's fold of the
+/// survivors' mailboxes equals the per-process sums exactly (the acceptance
+/// bar for this backend).
 #pragma once
 
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
-#include <type_traits>
 
-#include "api/metrics.h"
-#include "obs/event_bus.h"
+#include "api/contribution.h"
 #include "proc/shm_arena.h"
-#include "stats/latency_recorder.h"
-
-namespace renamelib::api {
-struct Run;
-}  // namespace renamelib::api
 
 namespace renamelib::proc {
 
@@ -39,35 +31,6 @@ inline constexpr int kMaxProcs = 64;
 /// most five kinds per run ({history_kind, "fai", "rename", "inc", "read"}).
 inline constexpr int kMaxKinds = 8;
 inline constexpr int kKindLen = 24;
-
-/// One process's result slot, indexed by pid — the same type on every
-/// backend. The process's metered loop writes its own slot in place (on the
-/// proc backend the slot is its Mailbox in shared memory; on hardware and
-/// in the simulator an entry of a heap array), and the harness folds the
-/// slots into the Run once, in pid order (fold_into). Every payload is
-/// additive, so the fold is exact: the Run equals the per-process sums.
-struct alignas(64) Contribution {
-  /// Ops, steps and per-op maxima; at completion also the process's total
-  /// steps (max_proc_steps) and, on the proc backend, its wall time from the
-  /// shared start stamp (wall_seconds; the fold keeps the maximum).
-  api::Metrics metrics;
-  stats::LatencySnapshot latency;  ///< sampled per-op wall-clock latency
-  obs::EventSnapshot events;       ///< proc backend: the worker's bus delta
-  double proc_steps = 0;           ///< total steps; set at completion
-
-  /// Marks the process finished with `steps` total paper-model steps.
-  void finish(std::uint64_t steps) {
-    proc_steps = static_cast<double>(steps);
-    metrics.max_proc_steps = steps;
-  }
-
-  /// Adds this slot to `run`: metrics, latency and events always (a
-  /// crashed simulated process's completed ops count), the proc_steps row
-  /// and the finished count only if the process `finished` its body.
-  void fold_into(api::Run& run, bool finished) const;
-};
-static_assert(std::is_trivially_copyable_v<Contribution>,
-              "a result slot crosses the process boundary as raw bytes");
 
 /// One completed operation in a process's crash-surviving ring. Written
 /// slot-first, then announced by a release-increment of
@@ -90,7 +53,7 @@ struct alignas(64) Mailbox {
   std::atomic<std::uint32_t> parked{0};
   /// The Contribution below is complete (set with release ordering last).
   std::atomic<std::uint32_t> ready{0};
-  Contribution contrib;
+  api::Contribution contrib;
 };
 
 /// The shared control block: start barrier, wall-clock origin, crash plan,

@@ -108,7 +108,7 @@ void fill_kind_table(Control& ctl, const api::Scenario& s) {
 
 [[noreturn]] void child_main(
     const Layout& lay, int pid, const api::Scenario& s,
-    const std::function<void(Ctx&, Contribution&)>& body) {
+    const std::function<void(Ctx&, api::Contribution&)>& body) {
   try {
     obs::ThreadPidScope pid_scope(pid);
     Worker worker(lay, pid, lay.control->crash_at[pid]);
@@ -206,7 +206,7 @@ void Worker::publish_op(std::uint64_t value, std::uint64_t steps,
 
 void Worker::publish_done(std::uint64_t proc_steps) {
   Mailbox& mb = layout_.mail(pid_);
-  Contribution& c = mb.contrib;
+  api::Contribution& c = mb.contrib;
   c.finish(proc_steps);
   // Wall time from the shared start stamp (visible since the barrier's
   // acquire); the fold's maximum over survivors is the run's wall time.
@@ -220,7 +220,7 @@ void Worker::publish_done(std::uint64_t proc_steps) {
 }
 
 void run_proc(const api::Scenario& s,
-              const std::function<void(Ctx&, Contribution&)>& body,
+              const std::function<void(Ctx&, api::Contribution&)>& body,
               api::Run& run) {
   ShmArena* arena = ShmArena::current();
   RENAMELIB_ENSURE(arena != nullptr,

@@ -22,14 +22,15 @@
 ///   fold survivors' mailboxes,
 ///   pid order → Run
 ///
-/// A worker's mailbox holds its result slot (Contribution, the type every
-/// backend's metered loop writes in place), so the aggregates (Run::metrics,
-/// latency, events, proc_steps) are the parent's one fold of the survivors'
-/// slots, through the same Contribution::fold_into the other backends use;
-/// a SIGKILLed victim's slot is never marked ready and is not folded. The per-op sample rings (Run::ops) are read
-/// for every worker, victims included: a killed process's completed ops are
-/// exactly what the facet conformance predicates must see (a killed
-/// worker's acquired names stay held).
+/// A worker's mailbox holds its result slot (api::Contribution, the type
+/// every backend's metered loop writes in place), so the aggregates
+/// (Run::metrics, latency, events, proc_steps) are the parent's one fold of
+/// the survivors' slots, through the same Contribution::fold_into the other
+/// backends use; a SIGKILLed victim's slot is never marked ready and is not
+/// folded. The per-op sample rings (Run::ops) are read for every worker,
+/// victims included: a killed process's completed ops are exactly what the
+/// facet conformance predicates must see (a killed worker's acquired names
+/// stay held).
 ///
 /// Survivor results feed the *unchanged* conformance predicates; the lease
 /// broker's epoch-tagged per-pid slots make a victim's escrowed range
@@ -57,7 +58,7 @@ std::size_t default_arena_bytes(const api::Scenario& s);
 /// run.crashed_procs. Aborts, naming the worker, if a victim dies any other
 /// way or a survivor exits without publish_done or with a nonzero status.
 void run_proc(const api::Scenario& s,
-              const std::function<void(Ctx&, Contribution&)>& body,
+              const std::function<void(Ctx&, api::Contribution&)>& body,
               api::Run& run);
 
 /// Worker-side publication hooks. current() is non-null exactly inside a

@@ -82,7 +82,10 @@ std::string ComparatorNetwork::to_dot() const {
     std::string prev = "in" + std::to_string(w);
     for (std::uint32_t ci : wires[w]) {
       os << "  " << prev << " -> c" << ci << ";\n";
-      prev = "c" + std::to_string(ci);
+      // Two appends: `"c" + std::to_string(ci)` trips GCC 12's false
+      // -Wrestrict at -O3.
+      prev = 'c';
+      prev += std::to_string(ci);
     }
   }
   os << "}\n";

@@ -1,4 +1,4 @@
-#include "stats/latency_recorder.h"
+#include "stats/latency_snapshot.h"
 
 #include <cmath>
 

@@ -12,7 +12,7 @@
 //
 // Concurrency model: none inside the type. A LatencySnapshot is a plain
 // trivially copyable value; the workload harness gives every process its own
-// cache-line-aligned result slot (proc::Contribution), each written only by
+// cache-line-aligned result slot (api::Contribution), each written only by
 // its owner, and merges the slots in pid order once the processes finished.
 #pragma once
 

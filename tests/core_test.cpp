@@ -44,18 +44,6 @@ TEST(Rng, BelowIsInRangeAndCoversRange) {
   EXPECT_EQ(seen.size(), 10u);
 }
 
-TEST(Rng, Uniform01InUnitInterval) {
-  Rng rng(9);
-  double sum = 0;
-  for (int i = 0; i < 10000; ++i) {
-    const double v = rng.uniform01();
-    ASSERT_GE(v, 0.0);
-    ASSERT_LT(v, 1.0);
-    sum += v;
-  }
-  EXPECT_NEAR(sum / 10000, 0.5, 0.02);
-}
-
 TEST(Rng, DeriveDiffersBySalt) {
   EXPECT_NE(Rng::derive(1, 0), Rng::derive(1, 1));
   EXPECT_EQ(Rng::derive(1, 5), Rng::derive(1, 5));

@@ -129,9 +129,6 @@ TEST(Corpus, SerializeParseRoundTrip) {
   c.seed = 99;
   c.max_crashes = 1;
   c.crash_step_max = 3;
-  c.arrival = api::Arrival::kBursty;
-  c.think_max = 2;
-  c.burst_max = 2;
   c.read_period = 4;
   c.note = "escaped \"quote\" and back\\slash";
   const std::string text = serialize_case(c);
@@ -150,6 +147,17 @@ TEST(Corpus, ParserRejectsMalformedDocuments) {
   std::string text = serialize_case(c);
   text.insert(text.rfind('}'), ",\n  \"mystery\": 1\n");
   EXPECT_THROW(parse_case(text), std::invalid_argument);  // unknown key
+  // A repro written before the arrival-shaping keys were deleted must fail
+  // loudly rather than replay a different schedule.
+  std::string old_repro = serialize_case(c);
+  old_repro.insert(old_repro.rfind('}'), ",\n  \"think_max\": 0\n");
+  try {
+    parse_case(old_repro);
+    ADD_FAILURE() << "a document carrying think_max parsed";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("think_max"), std::string::npos)
+        << e.what();
+  }
 }
 
 // ------------------------------------------------------ generator validity ---
@@ -185,6 +193,25 @@ TEST(Generator, MutantsStayValid) {
     EXPECT_GE(c.ops_per_proc, 1);
     EXPECT_LT(c.max_crashes, static_cast<std::size_t>(c.nproc));
   }
+}
+
+TEST(Generator, ExploreCasesCapIntegerOptions) {
+  // An exploration case constructs its object once per enumerated schedule,
+  // so sanitize() caps its integer options (nested inners included, powers
+  // of two kept); the same spec under the standard workload is untouched.
+  Generator gen(api::Registry::global());
+  FuzzCase c;
+  c.spec = "bitonic_countnet:w=256";
+  c.work = Work::kExplore;
+  gen.sanitize(c);
+  EXPECT_EQ(c.spec, "bitonic_countnet:w=64");
+  c.spec = "lease:procs=4096,quota=2,inner=[striped:stripes=4096]";
+  gen.sanitize(c);
+  EXPECT_EQ(c.spec, "lease:inner=[striped:stripes=64],procs=64,quota=2");
+  c.spec = "bitonic_countnet:w=256";
+  c.work = Work::kStandard;
+  gen.sanitize(c);
+  EXPECT_EQ(c.spec, "bitonic_countnet:w=256");
 }
 
 // -------------------------------------------------------- run_case basics ---

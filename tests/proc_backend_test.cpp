@@ -151,7 +151,7 @@ TEST(ProcBackendDeathTest, MoreThanMaxProcsIsRefusedBeforeFork) {
         const Scenario s = proc_scenario(kMaxProcs + 1, 1, 1);
         ShmArena arena(default_arena_bytes(s), s.seed);
         api::Run run;
-        run_proc(s, [](Ctx&, Contribution&) {}, run);
+        run_proc(s, [](Ctx&, api::Contribution&) {}, run);
       },
       "at most kMaxProcs processes");
 }
@@ -166,7 +166,7 @@ TEST(ProcBackendDeathTest, UnpublishedSurvivorAbortsNamingTheWorker) {
         api::Run run;
         run_proc(
             s,
-            [](Ctx& ctx, Contribution&) {
+            [](Ctx& ctx, api::Contribution&) {
               if (ctx.pid() == 1) return;
               Worker::current()->publish_done(0);
             },

@@ -3,7 +3,7 @@
 // associative, and order-insensitive — the property that makes folding the
 // slots (the proc backend's survivors' mailboxes, or every hardware and
 // simulated process's slot) in pid order equal any other fold. The slot holds
-// these types directly (proc::Contribution is trivially copyable), so nothing
+// these types directly (api::Contribution is trivially copyable), so nothing
 // is converted crossing the process boundary.
 #include <gtest/gtest.h>
 
@@ -12,7 +12,7 @@
 
 #include "api/metrics.h"
 #include "obs/event_bus.h"
-#include "stats/latency_recorder.h"
+#include "stats/latency_snapshot.h"
 
 namespace renamelib::proc {
 namespace {

@@ -12,7 +12,7 @@
 #include <string>
 
 #include "api/report.h"
-#include "stats/latency_recorder.h"
+#include "stats/latency_snapshot.h"
 
 namespace renamelib::api {
 namespace {

@@ -11,7 +11,7 @@
 #include <vector>
 
 #include "stats/fit.h"
-#include "stats/latency_recorder.h"
+#include "stats/latency_snapshot.h"
 #include "stats/summary.h"
 #include "stats/table.h"
 

@@ -44,7 +44,7 @@
 #include "sortnet/pairwise.h"
 #include "sortnet/verify.h"
 #include "stats/fit.h"
-#include "stats/latency_recorder.h"
+#include "stats/latency_snapshot.h"
 #include "stats/summary.h"
 #include "stats/table.h"
 #include "tas/hardware_tas.h"

@@ -43,7 +43,7 @@
 #include "claims.h"
 #include "obs/event_bus.h"
 #include "obs/sites.h"
-#include "stats/latency_recorder.h"
+#include "stats/latency_snapshot.h"
 
 namespace {
 

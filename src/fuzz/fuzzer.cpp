@@ -6,6 +6,7 @@
 #include <filesystem>
 #include <iomanip>
 #include <memory>
+#include <optional>
 #include <set>
 #include <sstream>
 #include <stdexcept>
@@ -17,6 +18,8 @@
 #include "core/ctx.h"
 #include "fuzz/coverage.h"
 #include "obs/flight_recorder.h"
+#include "proc/proc_backend.h"
+#include "proc/shm_arena.h"
 #include "sim/explore.h"
 #include "sim/linearizability.h"
 
@@ -177,19 +180,57 @@ void explore_case(
   }
 }
 
-/// Scenario for the clamped geometry (the case's own scenario with the
-/// harness-derived proc/op counts substituted in).
-api::Scenario clamped_scenario(const FuzzCase& c, int nproc, int ops,
-                               std::size_t crashes) {
+/// The backend a case runs on and, on the proc backend, the shared-memory
+/// arena its object is built in. run_case owns it, so the arena outlives the
+/// object and the parent can still read the object after the run (the
+/// holder and quiescent-read oracles).
+struct Substrate {
+  api::Backend backend = api::Backend::kSimulated;
+  std::optional<proc::ShmArena> arena;
+
+  /// `make()`'s object, placed in the arena on the proc backend.
+  template <typename MakeFn>
+  auto make(const MakeFn& make) {
+    if (!arena) return make();
+    proc::ArenaScope scope(*arena);
+    return make();
+  }
+};
+
+/// Scenario for the clamped geometry (the case's own scenario on `sub`'s
+/// backend, with the harness-derived proc/op counts substituted in).
+api::Scenario clamped_scenario(const FuzzCase& c, const Substrate& sub,
+                               int nproc, int ops, std::size_t crashes) {
   api::Scenario s = c.scenario();
+  s.backend = sub.backend;
   s.nproc = nproc;
   s.ops_per_proc = ops;
   s.crashes.max_crashes = crashes;
   return s;
 }
 
+/// The oracles every workload run answers to, whatever its facet:
+/// completed-op accounting and the metrics contract.
+void judge_run(const api::Run& run, const api::Scenario& s, bool escrow,
+               CaseResult& r) {
+  r.crashed_procs = run.crashed_procs;
+  const bool crashed = run.crashed_procs > 0;
+  add_result(r, check_op_count(run.ops.size(), r.attempted,
+                               run.finished_procs, s.ops_per_proc, crashed));
+  add_result(r, check_metrics(run.metrics, run.ops.size(), s.backend,
+                              crashed, escrow));
+}
+
+/// Wing–Gong needs a recorded history: crash-free, small, and not on the
+/// proc backend, which records none.
+bool wing_gong_applies(api::Consistency consistency, const api::Scenario& s) {
+  return consistency == api::Consistency::kLinearizable &&
+         !s.crashes.enabled() && s.backend != api::Backend::kProc &&
+         static_cast<std::uint64_t>(s.nproc) * s.ops_per_proc <= 64;
+}
+
 CaseResult run_counter_case(const api::Registry& reg, const api::Spec& spec,
-                            const FuzzCase& c,
+                            const FuzzCase& c, Substrate& sub,
                             std::vector<std::uint64_t>& values_out) {
   const api::CounterInfo* info = reg.find_counter(spec.name());
   CaseResult r;
@@ -228,18 +269,16 @@ CaseResult run_counter_case(const api::Registry& reg, const api::Spec& spec,
     return r;
   }
 
-  const auto counter = reg.make_counter(spec);
-  api::Scenario s = clamped_scenario(c, nproc, ops, crashes);
-  const bool check_wg = info->consistency == api::Consistency::kLinearizable &&
-                        crashes == 0 && planned <= 64;
-  s.record_history = check_wg;
+  const auto counter = sub.make([&] { return reg.make_counter(spec); });
+  api::Scenario s = clamped_scenario(c, sub, nproc, ops, crashes);
+  s.record_history = wing_gong_applies(info->consistency, s);
   const api::Run run = api::Workload(s).run(*counter);
-  r.crashed_procs = run.crashed_procs;
   values_out = run.values();
 
+  judge_run(run, s, info->consistency == api::Consistency::kEscrow, r);
   add_result(r, judge_counter_values(spec, info->consistency, values_out,
                                      planned, nproc, run.crashed_procs));
-  if (check_wg) {
+  if (s.record_history) {
     const std::uint64_t m = counter->capacity() == api::ICounter::kUnbounded
                                 ? (1ULL << 40)
                                 : counter->capacity();
@@ -254,10 +293,11 @@ CaseResult run_counter_case(const api::Registry& reg, const api::Spec& spec,
 }
 
 CaseResult run_renaming_case(const api::Registry& reg, const api::Spec& spec,
-                             const FuzzCase& c,
+                             const FuzzCase& c, Substrate& sub,
                              std::vector<std::uint64_t>& values_out) {
   const api::RenamingInfo* info = reg.find_renaming(spec.name());
   const int max_requests = info->max_requests(spec);
+  const bool escrow = info->family == api::Family::kEscrow;
   CaseResult r;
   if (max_requests < 1) return r;
 
@@ -290,17 +330,17 @@ CaseResult run_renaming_case(const api::Registry& reg, const api::Spec& spec,
     const std::size_t crashes = std::min(
         c.max_crashes, static_cast<std::size_t>(nproc > 1 ? nproc - 1 : 0));
     const std::uint64_t bound = info->name_bound(nproc, spec);
-    std::shared_ptr<api::IRenaming> obj = reg.make_renaming(spec);
+    const auto obj = sub.make([&] { return reg.make_renaming(spec); });
     r.ran = true;
     r.attempted = static_cast<std::uint64_t>(nproc) * ops;
-    const api::Scenario s = clamped_scenario(c, nproc, ops, crashes);
+    const api::Scenario s = clamped_scenario(c, sub, nproc, ops, crashes);
     const api::Run run = api::Workload(s).run_ops([&obj](Ctx& ctx) {
       const std::uint64_t name = obj->acquire(ctx);
       obj->release(ctx, name);
       return name;
     });
-    r.crashed_procs = run.crashed_procs;
     values_out = run.values();
+    judge_run(run, s, escrow, r);
     for (const std::uint64_t name : values_out) {
       if (name < 1 || name > bound) {
         add_result(r, OracleResult::fail(
@@ -353,12 +393,12 @@ CaseResult run_renaming_case(const api::Registry& reg, const api::Spec& spec,
 
   const std::size_t crashes = std::min(
       c.max_crashes, static_cast<std::size_t>(nproc > 1 ? nproc - 1 : 0));
-  std::shared_ptr<api::IRenaming> obj = reg.make_renaming(spec);
-  const api::Scenario s = clamped_scenario(c, nproc, ops, crashes);
+  const auto obj = sub.make([&] { return reg.make_renaming(spec); });
+  const api::Scenario s = clamped_scenario(c, sub, nproc, ops, crashes);
   const api::Run run = api::Workload(s).run(*obj);
-  r.crashed_procs = run.crashed_procs;
   values_out = run.values();
 
+  judge_run(run, s, escrow, r);
   add_result(r, check_renaming_names(values_out, bound));
   // Completed acquires are held for good; crashed processes add at most
   // their in-flight acquire each, so holders lands in [completed, planned].
@@ -368,10 +408,10 @@ CaseResult run_renaming_case(const api::Registry& reg, const api::Spec& spec,
 }
 
 CaseResult run_readable_case(const api::Registry& reg, const api::Spec& spec,
-                             const FuzzCase& c,
+                             const FuzzCase& c, Substrate& sub,
                              std::vector<std::uint64_t>& values_out) {
   const api::ReadableInfo* info = reg.find_readable(spec.name());
-  const auto obj = reg.make_readable(spec);
+  const auto obj = sub.make([&] { return reg.make_readable(spec); });
   CaseResult r;
 
   const int period = std::max(1, c.read_period);
@@ -396,20 +436,22 @@ CaseResult run_readable_case(const api::Registry& reg, const api::Spec& spec,
   r.ran = true;
   r.attempted = planned;
 
-  api::Scenario s = clamped_scenario(c, nproc, ops, crashes);
-  const bool check_wg = info->consistency == api::Consistency::kLinearizable &&
-                        crashes == 0 && planned <= 64;
-  s.record_history = check_wg;
+  api::Scenario s = clamped_scenario(c, sub, nproc, ops, crashes);
+  s.record_history = wing_gong_applies(info->consistency, s);
   const api::Run run = api::Workload(s).run(*obj);
-  r.crashed_procs = run.crashed_procs;
   values_out = run.values_of("read");
 
-  add_result(r, check_readable_reads(run.ops, planned_incs));
+  judge_run(run, s, info->consistency == api::Consistency::kEscrow, r);
+  // Each victim has at most one increment in flight, so the started
+  // increments are the completed ones plus at most one per crash.
   const std::uint64_t completed_incs = run.values_of("inc").size();
+  const std::uint64_t started_incs =
+      std::min(planned_incs, completed_incs + run.crashed_procs);
+  add_result(r, check_readable_reads(run.ops, started_incs));
   Ctx quiet(0, Rng::derive(c.seed, 0x51E5CE));
   add_result(r, check_quiescent_read(obj->read(quiet), completed_incs,
-                                     planned_incs, run.crashed_procs > 0));
-  if (check_wg) {
+                                     started_incs, run.crashed_procs > 0));
+  if (s.record_history) {
     sim::CounterSpec counter_spec;
     if (!sim::is_linearizable(run.history, counter_spec)) {
       add_result(r, OracleResult::fail(
@@ -433,14 +475,31 @@ std::string entry_key(const FuzzCase& c) {
 
 }  // namespace
 
-CaseResult run_case(const FuzzCase& c, const ExtraOracle& extra) {
+CaseResult run_case(const FuzzCase& c, const ExtraOracle& extra,
+                    api::Backend backend) {
   const api::Registry& reg = api::Registry::global();
   const api::Spec spec = api::Spec::parse(c.spec);
   reg.validate(c.facet, spec);
   if (c.nproc < 1 || c.ops_per_proc < 1 || c.read_period < 1) {
     throw std::invalid_argument("fuzz case: non-positive scenario geometry");
   }
+  if (backend == api::Backend::kHardware && c.max_crashes > 0) {
+    throw std::invalid_argument(
+        "fuzz case: crash injection needs the simulated or proc backend");
+  }
+  if (backend != api::Backend::kSimulated && c.work == Work::kExplore) {
+    throw std::invalid_argument(
+        "fuzz case: schedule exploration runs only on the simulated backend");
+  }
   guard_lease_procs(spec, c.nproc);
+
+  // Clamping only shrinks the case's geometry, so an arena sized for the
+  // case holds the proc layout of any clamped run.
+  Substrate sub;
+  sub.backend = backend;
+  if (backend == api::Backend::kProc) {
+    sub.arena.emplace(proc::default_arena_bytes(c.scenario()), c.seed);
+  }
 
   Coverage::instance().reset();
   Coverage::set_enabled(true);
@@ -454,13 +513,13 @@ CaseResult run_case(const FuzzCase& c, const ExtraOracle& extra) {
   try {
     switch (c.facet) {
       case api::Facet::kCounter:
-        r = run_counter_case(reg, spec, c, values);
+        r = run_counter_case(reg, spec, c, sub, values);
         break;
       case api::Facet::kRenaming:
-        r = run_renaming_case(reg, spec, c, values);
+        r = run_renaming_case(reg, spec, c, sub, values);
         break;
       case api::Facet::kReadable:
-        r = run_readable_case(reg, spec, c, values);
+        r = run_readable_case(reg, spec, c, sub, values);
         break;
     }
   } catch (...) {

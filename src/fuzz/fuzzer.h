@@ -2,13 +2,15 @@
 /// \brief The coverage-guided spec/schedule fuzzer: run, judge, shrink,
 /// commit.
 ///
-/// run_case() is the standalone judge — it constructs the case's object,
+/// run_case() is the one facet judge — it constructs the case's object,
 /// clamps the geometry to the object's own declared limits (capacity,
 /// max_procs, renaming request budgets; idempotently, so a replayed case
 /// re-clamps to the same execution), drives the facet workload (standard,
-/// churn, or exhaustive schedule exploration), and evaluates every oracle
-/// the entry's declared semantics imply. The corpus_replay test and
-/// `fuzzctl replay` call exactly this function.
+/// churn, or exhaustive schedule exploration) on the backend it is given,
+/// and evaluates every oracle the entry's declared semantics imply. The
+/// corpus_replay test, `fuzzctl replay` and the conformance sweeps of every
+/// backend (tests/conformance_sweep.h) call exactly this function, so a new
+/// entry or facet is conformance-tested by being judged here.
 ///
 /// Fuzzer wraps run_case in the search loop:
 ///   1. catalog pass — one generated case per Registry::describe() entry,
@@ -57,9 +59,16 @@ struct CaseResult {
 using ExtraOracle =
     std::function<OracleResult(const FuzzCase&, const std::vector<std::uint64_t>&)>;
 
-/// Runs one case standalone (coverage enabled, map reset first) and judges
-/// it. Throws std::invalid_argument when the case's spec does not validate.
-CaseResult run_case(const FuzzCase& c, const ExtraOracle& extra = nullptr);
+/// Runs one case standalone (coverage enabled, map reset first) on
+/// `backend` and judges it. Corpus cases and the fuzzer run on the
+/// simulated backend, where a case replays deterministically. On the proc
+/// backend the object is built in a shared-memory arena that outlives the
+/// run, and Wing–Gong is skipped (the backend records no history). Throws
+/// std::invalid_argument when the case's spec does not validate, for
+/// crashes on the hardware backend, and for Work::kExplore on any backend
+/// but the simulated one.
+CaseResult run_case(const FuzzCase& c, const ExtraOracle& extra = nullptr,
+                    api::Backend backend = api::Backend::kSimulated);
 
 /// Search-loop configuration.
 struct FuzzOptions {

@@ -129,4 +129,53 @@ OracleResult check_holders(std::uint64_t holders, std::uint64_t lo,
   return OracleResult::pass("holders");
 }
 
+OracleResult check_op_count(std::uint64_t completed, std::uint64_t planned,
+                            std::size_t finished_procs, int ops_per_proc,
+                            bool crashed) {
+  const std::uint64_t floor =
+      crashed ? finished_procs * static_cast<std::uint64_t>(ops_per_proc)
+              : planned;
+  if (completed < floor || completed > planned) {
+    return OracleResult::fail(
+        "op_count", u64s(completed) + " ops completed, expected " +
+                        (crashed ? "[" + u64s(floor) + ", " + u64s(planned) +
+                                       "] with crashes"
+                                 : u64s(planned)));
+  }
+  return OracleResult::pass("op_count");
+}
+
+OracleResult check_metrics(const api::Metrics& m, std::uint64_t completed,
+                           api::Backend backend, bool crashed, bool escrow) {
+  const auto fail = [](std::string detail) {
+    return OracleResult::fail("metrics", std::move(detail));
+  };
+  const bool survivors_only = crashed && backend == api::Backend::kProc;
+  if (survivors_only ? m.ops > completed : m.ops != completed) {
+    return fail("metrics.ops " + u64s(m.ops) +
+                (survivors_only ? " > " : " != ") + u64s(completed) +
+                " completed ops");
+  }
+  if (m.steps == 0) return fail("zero steps");
+  if (m.shared_steps > m.steps) {
+    return fail("shared_steps " + u64s(m.shared_steps) + " > steps " +
+                u64s(m.steps));
+  }
+  if (m.max_op_steps > m.steps) {
+    return fail("max_op_steps " + u64s(m.max_op_steps) + " > steps " +
+                u64s(m.steps));
+  }
+  const bool unfinished_ops_in_max =
+      crashed && backend == api::Backend::kSimulated;
+  if (!unfinished_ops_in_max && m.max_proc_steps > m.steps) {
+    return fail("max_proc_steps " + u64s(m.max_proc_steps) + " > steps " +
+                u64s(m.steps));
+  }
+  if (!escrow && m.mean_op_steps() < 1.0) {
+    return fail("mean_op_steps " + std::to_string(m.mean_op_steps()) +
+                " < 1 for a non-escrow entry");
+  }
+  return OracleResult::pass("metrics");
+}
+
 }  // namespace renamelib::fuzz

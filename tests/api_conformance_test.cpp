@@ -1,70 +1,36 @@
 // Facet-driven conformance suite: every registered implementation of every
-// facet, every schedule, one set of checks per facet.
+// facet under one judge.
 //
-//   * counter facet — values are a dense prefix {0..N-1}; linearizable ones
-//     are additionally machine-checked with the Wing–Gong checker on
-//     recorded concurrent histories; quiescent/dense ones must still hand
-//     out a permutation of the prefix; escrow-leased ones are checked for
-//     uniqueness within the quota-rounded bound instead of density,
-//   * renaming facet — uniqueness and namespace tightness
-//     (renaming/validate.h) against each entry's declared name_bound, plus
-//     concurrent-holder and reuse checks for the long-lived family,
-//   * readable facet — per-process read monotonicity, read bounds
-//     (completed <= reads <= started increments), quiescent exactness, and
-//     Wing–Gong on inc/read histories for linearizable entries,
+//   * the facet predicates — the conformance sweep
+//     (tests/conformance_sweep.h) runs every registry entry and a few extra
+//     specs through fuzz::run_case, the judge the fuzzer and the corpus
+//     replay use, on hardware threads, the adversarial simulator, and the
+//     simulator with crash injection. run_case holds the oracles: dense
+//     prefixes and Wing–Gong for counters, escrow bounds, renaming
+//     uniqueness, tightness and holder accounting, readable read bounds,
+//     monotonicity and quiescent exactness, completed-op accounting and the
+//     metrics contract (src/fuzz/oracles.h),
+//   * the declarations those oracles key on — adapters agree with their
+//     registry entries, adaptive entries declare k-only name bounds,
 //   * the registry itself — facet enumeration, spec grammar (including
 //     nested bracketed values), error paths and error-message quality,
-//   * the sharded family — an extra sweep over stripe counts.
+//   * the workload harness's metrics and latency contract.
 //
-// Every sweep runs under three schedules: hardware threads, the adversarial
-// simulator, and the simulator with crash injection (Scenario::crashes
-// wrapping sim::CrashAdversary) — under crashes the surviving processes'
-// invariants must still hold. Because the suite iterates the Registry's
-// facet tables, a newly registered implementation is conformance-tested
-// with zero new test code.
+// Because the sweep iterates the Registry's facet tables, a newly
+// registered implementation is conformance-tested with zero new test code.
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cctype>
-#include <iostream>
-#include <map>
 #include <set>
 #include <stdexcept>
 #include <string>
-#include <tuple>
 
 #include "api/registry.h"
 #include "api/workload.h"
-#include "obs/flight_recorder.h"
-#include "renaming/validate.h"
-#include "sim/linearizability.h"
+#include "conformance_sweep.h"
 
 namespace renamelib::api {
 namespace {
-
-// Post-mortem instrumentation: the whole suite runs with the flight
-// recorder on, and a failing test prints the tail of the event stream that
-// led into it — which interleaving of grants, CAS losses, and reclaims the
-// rejected execution actually took. Fresh ring per test so the tail never
-// shows a previous test's events.
-class FlightTailOnFailure : public ::testing::EmptyTestEventListener {
-  void OnTestStart(const ::testing::TestInfo&) override {
-    obs::FlightRecorder::instance().reset();
-    obs::FlightRecorder::set_enabled(true);
-  }
-  void OnTestEnd(const ::testing::TestInfo& info) override {
-    obs::FlightRecorder::set_enabled(false);
-    if (info.result() != nullptr && info.result()->Failed()) {
-      std::cout << obs::FlightRecorder::instance().format_tail();
-    }
-  }
-};
-
-[[maybe_unused]] const int kFlightListenerInstalled = [] {
-  ::testing::UnitTest::GetInstance()->listeners().Append(
-      new FlightTailOnFailure);
-  return 0;
-}();
 
 // ------------------------------------------------------------- registry ---
 
@@ -381,354 +347,39 @@ TEST(Registry, ConstructsEveryBuiltinWithCustomParams) {
   EXPECT_NE(reg.make_readable("striped:stripes=4"), nullptr);
 }
 
-// ---------------------------------------------------- shared mode sweep ---
+// ---------------------------------------------------- conformance sweep ---
 
-/// One schedule of the three-way sweep: hardware threads, the adversarial
-/// simulator, or the simulator with crash injection.
-enum class Mode { kSim, kHardware, kCrash };
+// Every registry entry and extra spec (tests/conformance_sweep.h) on the
+// simulated and hardware backends, and simulated with crash victims, each
+// case judged by fuzz::run_case.
+using conformance::Conformance;
 
-const char* mode_suffix(Mode m) {
-  switch (m) {
-    case Mode::kSim: return "_sim";
-    case Mode::kHardware: return "_hw";
-    case Mode::kCrash: return "_crash";
-  }
-  return "_?";
-}
-
-/// Scenario for `mode`; crash mode kills `max_crashes` seed-chosen victims
-/// within their first `crash_step_max` shared steps. Callers size
-/// ops_per_proc so every victim still has work at its threshold — then the
-/// crash count is exact, not best-effort.
-Scenario scenario_for(Mode mode, int nproc, int ops_per_proc,
-                      std::uint64_t seed, std::size_t max_crashes = 1,
-                      std::uint64_t crash_step_max = 2) {
-  Scenario s;
-  s.nproc = nproc;
-  s.ops_per_proc = ops_per_proc;
-  s.backend = mode == Mode::kHardware ? Backend::kHardware : Backend::kSimulated;
-  s.seed = seed;
-  if (mode == Mode::kCrash) {
-    s.crashes.max_crashes = max_crashes;
-    s.crashes.crash_step_max = crash_step_max;
-  }
-  return s;
-}
-
-struct ParamName {
-  template <typename T>
-  std::string operator()(const ::testing::TestParamInfo<T>& info) const {
-    const auto& [name, mode] = info.param;
-    return name + mode_suffix(mode);
-  }
-};
-
-std::vector<std::tuple<std::string, Mode>> sweep(
-    const std::vector<std::string>& names) {
-  std::vector<std::tuple<std::string, Mode>> out;
-  for (const auto& n : names) {
-    out.emplace_back(n, Mode::kSim);
-    out.emplace_back(n, Mode::kHardware);
-    out.emplace_back(n, Mode::kCrash);
-  }
-  return out;
-}
-
-// ------------------------------------------------------------- counters ---
-
-/// Per-process value slack of an escrow-family entry, read off its schema:
-/// the lease family withholds at most one `quota`-sized range per pid.
-std::uint64_t escrow_slack(const CounterInfo& info) {
-  for (const auto& o : info.options) {
-    if (o.key == "quota") return std::stoull(o.def);
-  }
-  ADD_FAILURE() << info.name << " declares no escrow range option";
-  return 0;
-}
-
-class CounterConformance
-    : public ::testing::TestWithParam<std::tuple<std::string, Mode>> {};
-
-TEST_P(CounterConformance, DenseValuesAndLinearizability) {
-  const auto& [name, mode] = GetParam();
-  const CounterInfo* info = Registry::global().find_counter(name);
-  ASSERT_NE(info, nullptr);
-
-  // The registry's declared consistency and the adapter's own must agree —
-  // the Wing–Gong check below is keyed off the registry entry.
-  {
-    const auto counter = Registry::global().make_counter(name);
-    ASSERT_EQ(counter->consistency(), info->consistency) << name;
-  }
-
-  for (std::uint64_t seed = 0; seed < 3; ++seed) {
-    const auto counter = Registry::global().make_counter(name);
-    // Crash mode: every counter op costs >= 1 shared step, so with 4 ops per
-    // process and thresholds in [1, 2] both victims are killed mid-run.
-    const Scenario s = scenario_for(mode, 4, mode == Mode::kCrash ? 4 : 2,
-                                    seed + 1, /*max_crashes=*/2);
-    Workload workload = [&] {
-      Scenario with_history = s;
-      with_history.record_history =
-          (mode != Mode::kCrash &&
-           info->consistency == Consistency::kLinearizable);
-      return Workload(with_history);
-    }();
-    const api::Run run = workload.run(*counter);
-
-    const std::size_t attempted =
-        static_cast<std::size_t>(s.nproc) * s.ops_per_proc;
-    ASSERT_LT(attempted, counter->capacity()) << "scenario must not saturate";
-
-    if (mode == Mode::kCrash) {
-      // Exactly the planned crashes happened; survivors completed all ops,
-      // and victims contributed only the ops they finished before dying.
-      ASSERT_EQ(run.crashed_procs, 2u) << name << " seed=" << seed;
-      ASSERT_EQ(run.finished_procs, static_cast<std::size_t>(s.nproc) - 2);
-      ASSERT_GE(run.ops.size(),
-                run.finished_procs * static_cast<std::size_t>(s.ops_per_proc));
-      ASSERT_LT(run.ops.size(), attempted);
-      // Crashed operations may have consumed values, so the survivors'
-      // values need not be a dense prefix — but they must stay unique and
-      // within the started-operation bound. Escrow-leased entries hand out
-      // positions from quota-sized per-pid ranges, so their bound is the
-      // quota-rounded one: every value lies inside some minted range, and at
-      // most one range per pid is in flight.
-      const std::uint64_t crash_bound =
-          info->consistency == Consistency::kEscrow
-              ? attempted +
-                    static_cast<std::uint64_t>(s.nproc) * escrow_slack(*info)
-              : attempted;
-      std::set<std::uint64_t> unique;
-      for (const std::uint64_t v : run.values()) {
-        EXPECT_TRUE(unique.insert(v).second)
-            << name << " seed=" << seed << ": duplicate value " << v;
-        EXPECT_LT(v, crash_bound) << name << " seed=" << seed;
-      }
-      EXPECT_EQ(run.metrics.ops, run.ops.size());
-      continue;
-    }
-
-    ASSERT_EQ(run.crashed_procs, 0u);
-    ASSERT_EQ(run.finished_procs, static_cast<std::size_t>(s.nproc));
-    ASSERT_EQ(run.ops.size(), attempted);
-
-    if (info->consistency == Consistency::kEscrow) {
-      // Escrow-leased values are unique and quota-bounded, never dense: each
-      // pid's partially drained lease withholds the tail of its range.
-      const std::uint64_t bound =
-          attempted +
-          static_cast<std::uint64_t>(s.nproc) * escrow_slack(*info);
-      std::set<std::uint64_t> unique;
-      for (const std::uint64_t v : run.values()) {
-        EXPECT_TRUE(unique.insert(v).second)
-            << name << " seed=" << seed << ": duplicate value " << v;
-        EXPECT_LT(v, bound) << name << " seed=" << seed;
-      }
-    } else {
-      // Every other counter family hands out a dense prefix once quiescent.
-      std::vector<std::uint64_t> sorted = run.values();
-      std::sort(sorted.begin(), sorted.end());
-      for (std::size_t i = 0; i < attempted; ++i) {
-        EXPECT_EQ(sorted[i], i) << name << " seed=" << seed;
-      }
-    }
-
-    // Unified metrics sanity.
-    EXPECT_EQ(run.metrics.ops, attempted);
-    EXPECT_GT(run.metrics.steps, 0u);
-    EXPECT_GE(run.metrics.steps, run.metrics.shared_steps);
-    EXPECT_LE(run.metrics.max_op_steps, run.metrics.steps);
-    EXPECT_LE(run.metrics.max_proc_steps, run.metrics.steps);
-    if (info->consistency != Consistency::kEscrow) {
-      // Locally served lease ops cost zero shared steps, so the escrow
-      // family legitimately undercuts the 1-step/op floor.
-      EXPECT_GE(run.metrics.mean_op_steps(), 1.0);
-    }
-
-    if (info->consistency == Consistency::kLinearizable) {
-      const std::uint64_t m = counter->capacity() == ICounter::kUnbounded
-                                  ? (1ULL << 40)
-                                  : counter->capacity();
-      sim::BoundedFaiSpec spec(m);
-      EXPECT_TRUE(sim::is_linearizable(run.history, spec))
-          << name << " seed=" << seed;
-    }
-  }
-}
+TEST_P(Conformance, JudgedByRunCase) { conformance::judge(GetParam()); }
 
 INSTANTIATE_TEST_SUITE_P(
-    Registry, CounterConformance,
-    ::testing::ValuesIn(sweep(Registry::global().list(Facet::kCounter))),
-    ParamName{});
+    Registry, Conformance,
+    ::testing::ValuesIn(
+        conformance::legs({Backend::kSimulated, Backend::kHardware})),
+    conformance::leg_name);
 
-// --------------------------------------------------- sharded spec sweep ---
+// --------------------------------------------------- declaration contract ---
 
-// The registered-name sweep above already covers `striped` at default
-// params; this sweep exercises the stripe-count axis under all three
-// schedules.
-class ShardedSpecConformance
-    : public ::testing::TestWithParam<std::tuple<std::string, Mode>> {};
-
-struct SpecName {
-  template <typename T>
-  std::string operator()(const ::testing::TestParamInfo<T>& info) const {
-    const auto& [spec, mode] = info.param;
-    std::string out;
-    for (const char c : spec) {
-      out += (std::isalnum(static_cast<unsigned char>(c)) != 0) ? c : '_';
-    }
-    return out + mode_suffix(mode);
+TEST(Registry, AdaptersDeclareWhatTheirEntriesDeclare) {
+  // run_case keys its oracles off the registry entry (Wing–Gong for
+  // linearizable entries, churn for reusable ones), so the constructed
+  // adapter must agree with it.
+  const auto& reg = Registry::global();
+  for (const auto& e : reg.counters()) {
+    EXPECT_EQ(reg.make_counter(e.name)->consistency(), e.consistency) << e.name;
   }
-};
-
-TEST_P(ShardedSpecConformance, DenseValuePrefix) {
-  const auto& [spec, mode] = GetParam();
-  for (std::uint64_t seed = 0; seed < 3; ++seed) {
-    const auto counter = Registry::global().make_counter(spec);
-    ASSERT_EQ(counter->consistency(), Consistency::kQuiescent) << spec;
-    const Scenario s = scenario_for(mode, 6, 4, seed + 1, /*max_crashes=*/2);
-    const api::Run run = Workload(s).run(*counter);
-
-    const std::size_t attempted =
-        static_cast<std::size_t>(s.nproc) * s.ops_per_proc;
-    ASSERT_LT(attempted, counter->capacity()) << spec;
-
-    if (mode == Mode::kCrash) {
-      ASSERT_EQ(run.crashed_procs, 2u) << spec << " seed=" << seed;
-      ASSERT_EQ(run.finished_procs, static_cast<std::size_t>(s.nproc) - 2);
-      std::set<std::uint64_t> unique;
-      for (const std::uint64_t v : run.values()) {
-        ASSERT_TRUE(unique.insert(v).second)
-            << spec << " seed=" << seed << ": duplicate value " << v;
-        ASSERT_LT(v, attempted) << spec << " seed=" << seed;
-      }
-      continue;
-    }
-
-    ASSERT_EQ(run.finished_procs, static_cast<std::size_t>(s.nproc));
-    ASSERT_EQ(run.ops.size(), attempted);
-
-    std::vector<std::uint64_t> sorted = run.values();
-    std::sort(sorted.begin(), sorted.end());
-    for (std::size_t i = 0; i < attempted; ++i) {
-      ASSERT_EQ(sorted[i], i) << spec << " seed=" << seed;
-    }
-    EXPECT_EQ(run.metrics.ops, attempted);
-    EXPECT_GT(run.metrics.steps, 0u);
-    EXPECT_GE(run.metrics.steps, run.metrics.shared_steps);
+  for (const auto& e : reg.renamings()) {
+    EXPECT_EQ(reg.make_renaming(e.name)->reusable(), e.reusable) << e.name;
+  }
+  for (const auto& e : reg.readables()) {
+    EXPECT_EQ(reg.make_readable(e.name)->consistency(), e.consistency)
+        << e.name;
   }
 }
-
-INSTANTIATE_TEST_SUITE_P(
-    Registry, ShardedSpecConformance,
-    ::testing::ValuesIn(sweep({
-        "striped:stripes=1",
-        "striped:stripes=16",
-    })),
-    SpecName{});
-
-// ------------------------------------------------------------ renamings ---
-
-class RenamingConformance
-    : public ::testing::TestWithParam<std::tuple<std::string, Mode>> {};
-
-TEST_P(RenamingConformance, UniqueAndTightNames) {
-  const auto& [name, mode] = GetParam();
-  const RenamingInfo* info = Registry::global().find_renaming(name);
-  ASSERT_NE(info, nullptr);
-
-  const Spec defaults;  // run under each entry's default geometry
-  for (std::uint64_t seed = 0; seed < 3; ++seed) {
-    // Hold-all scenario: every acquire keeps its name, so uniqueness and
-    // tightness are checkable from the value set. Crash mode: acquires cost
-    // >= 1 shared step each, so 4 ops per process outlast thresholds in
-    // [1, 2] and the single victim is killed mid-run.
-    const Scenario s =
-        scenario_for(mode, 4, mode == Mode::kCrash ? 4 : 2, seed + 1);
-    const int attempted = s.nproc * s.ops_per_proc;
-    ASSERT_LE(attempted, info->max_requests(defaults));
-
-    const auto obj = Registry::global().make_renaming(name);
-    const api::Run run = Workload(s).run(*obj);
-
-    if (mode == Mode::kCrash) {
-      ASSERT_EQ(run.crashed_procs, 1u) << name << " seed=" << seed;
-      ASSERT_EQ(run.finished_procs, static_cast<std::size_t>(s.nproc) - 1);
-    } else {
-      ASSERT_EQ(run.crashed_procs, 0u);
-      ASSERT_EQ(run.finished_procs, static_cast<std::size_t>(s.nproc));
-      ASSERT_EQ(run.ops.size(), static_cast<std::size_t>(attempted));
-      // Nothing was released, so every acquired name is still held.
-      EXPECT_EQ(obj->holders(), static_cast<std::uint64_t>(attempted)) << name;
-    }
-
-    // Survivors' names are unique and within the bound for the started
-    // requests — crashes may strand names but never violate either.
-    const auto unique = renaming::check_unique(run.values());
-    EXPECT_TRUE(unique.ok) << name << " seed=" << seed << ": " << unique.error;
-    const auto tight = renaming::check_tight(
-        run.values(), info->name_bound(attempted, defaults));
-    EXPECT_TRUE(tight.ok) << name << " seed=" << seed << ": " << tight.error;
-
-    EXPECT_EQ(run.metrics.ops, run.ops.size());
-    EXPECT_GT(run.metrics.steps, 0u);
-  }
-}
-
-TEST_P(RenamingConformance, ReusableEntriesRecycleReleasedNames) {
-  const auto& [name, mode] = GetParam();
-  const RenamingInfo* info = Registry::global().find_renaming(name);
-  ASSERT_NE(info, nullptr);
-  {
-    const auto probe = Registry::global().make_renaming(name);
-    ASSERT_EQ(probe->reusable(), info->reusable) << name;
-  }
-  if (!info->reusable) return;  // churn is meaningless for one-shot entries
-
-  for (std::uint64_t seed = 0; seed < 3; ++seed) {
-    // Churn scenario: each operation acquires and immediately releases, so
-    // at most nproc names are concurrently held even though far more
-    // requests run than max_requests would allow a hold-all run.
-    const Scenario s = scenario_for(mode, 6, 12, seed + 1);
-    const auto obj = Registry::global().make_renaming(name);
-    const api::Run run = Workload(s).run_ops([&obj](Ctx& ctx) {
-      const std::uint64_t n = obj->acquire(ctx);
-      obj->release(ctx, n);
-      return n;
-    });
-
-    if (mode == Mode::kCrash) {
-      ASSERT_EQ(run.crashed_procs, 1u) << name << " seed=" << seed;
-      // A holder that crashed between acquire and release leaks exactly its
-      // own name; everyone else drained.
-      EXPECT_LE(obj->holders(), 1u) << name << " seed=" << seed;
-    } else {
-      ASSERT_EQ(run.finished_procs, static_cast<std::size_t>(s.nproc));
-      EXPECT_EQ(obj->holders(), 0u) << name << " seed=" << seed;
-    }
-
-    // Names recycle: far fewer distinct names than completed acquires
-    // (72 acquires over at most nproc concurrent holders), and every name
-    // stays within the entry's hard bound for nproc concurrent holders.
-    // (The *whp* O(holders) smallness is asserted by the long-lived unit
-    // tests; here the facet only promises the every-execution bound.)
-    const Spec defaults;
-    const auto values = run.values();
-    const std::set<std::uint64_t> distinct(values.begin(), values.end());
-    EXPECT_LT(distinct.size(), values.size()) << name << " seed=" << seed;
-    const std::uint64_t bound = info->name_bound(s.nproc, defaults);
-    for (const std::uint64_t v : values) {
-      EXPECT_GE(v, 1u) << name << " seed=" << seed;
-      EXPECT_LE(v, bound) << name << " seed=" << seed;
-    }
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    Registry, RenamingConformance,
-    ::testing::ValuesIn(sweep(Registry::global().list(Facet::kRenaming))),
-    ParamName{});
 
 // --------------------------------------------------- adaptivity contract ---
 
@@ -744,89 +395,6 @@ TEST(RenamingConformance, AdaptiveEntriesDeclareKOnlyBounds) {
     }
   }
 }
-
-// ------------------------------------------------------------- readables ---
-
-class ReadableConformance
-    : public ::testing::TestWithParam<std::tuple<std::string, Mode>> {};
-
-TEST_P(ReadableConformance, MonotoneReadsWithinIncrementBounds) {
-  const auto& [name, mode] = GetParam();
-  const ReadableInfo* info = Registry::global().find_readable(name);
-  ASSERT_NE(info, nullptr);
-
-  {
-    const auto counter = Registry::global().make_readable(name);
-    ASSERT_EQ(counter->consistency(), info->consistency) << name;
-  }
-
-  for (std::uint64_t seed = 0; seed < 3; ++seed) {
-    const auto counter = Registry::global().make_readable(name);
-    // Mixed workload: Workload::run makes every third op a read. Crash
-    // mode: 6 ops per process (each >= 1 shared step) outlast thresholds
-    // in [1, 2].
-    Scenario s = scenario_for(mode, 4, 6, seed + 1);
-    ASSERT_LE(s.nproc, counter->max_procs()) << name;
-    s.record_history = (mode != Mode::kCrash &&
-                        info->consistency == Consistency::kLinearizable);
-    const api::Run run = Workload(s).run(*counter);
-
-    const std::size_t inc_per_proc = 4, read_per_proc = 2;  // of 6 ops
-    const std::uint64_t attempted_incs =
-        static_cast<std::uint64_t>(s.nproc) * inc_per_proc;
-    const std::uint64_t completed_incs = run.values_of("inc").size();
-
-    if (mode == Mode::kCrash) {
-      ASSERT_EQ(run.crashed_procs, 1u) << name << " seed=" << seed;
-      ASSERT_EQ(run.finished_procs, static_cast<std::size_t>(s.nproc) - 1);
-    } else {
-      ASSERT_EQ(run.finished_procs, static_cast<std::size_t>(s.nproc));
-      ASSERT_EQ(completed_incs, attempted_incs);
-      ASSERT_EQ(run.values_of("read").size(),
-                static_cast<std::size_t>(s.nproc) * read_per_proc);
-    }
-
-    // Reads never exceed the started increments, and each process's own
-    // reads are non-decreasing (they never overlap each other).
-    std::map<int, std::uint64_t> last_read;
-    for (const auto& op : run.ops) {
-      if (op.kind != "read") continue;
-      EXPECT_LE(op.value, attempted_incs) << name << " seed=" << seed;
-      auto [it, fresh] = last_read.try_emplace(op.pid, op.value);
-      if (!fresh) {
-        EXPECT_GE(op.value, it->second)
-            << name << " seed=" << seed << " pid=" << op.pid
-            << ": reads went backwards";
-        it->second = op.value;
-      }
-    }
-
-    // Quiescent exactness: a fresh read sees every completed increment and
-    // nothing beyond the started ones (crashed increments may or may not
-    // have landed).
-    Ctx quiescent_ctx(0, /*seed=*/987 + seed);
-    const std::uint64_t final_read = counter->read(quiescent_ctx);
-    EXPECT_GE(final_read, completed_incs) << name << " seed=" << seed;
-    EXPECT_LE(final_read, attempted_incs) << name << " seed=" << seed;
-    if (mode != Mode::kCrash) {
-      EXPECT_EQ(final_read, completed_incs) << name << " seed=" << seed;
-    }
-
-    EXPECT_EQ(run.metrics.ops, run.ops.size());
-    EXPECT_GT(run.metrics.steps, 0u);
-
-    if (s.record_history) {
-      sim::CounterSpec spec;
-      EXPECT_TRUE(sim::is_linearizable(run.history, spec))
-          << name << " seed=" << seed;
-    }
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    Registry, ReadableConformance,
-    ::testing::ValuesIn(sweep(Registry::global().list(Facet::kReadable))),
-    ParamName{});
 
 // ------------------------------------------------------ harness contract ---
 

@@ -3,7 +3,8 @@
 //
 //   1. Oracle self-tests: every conformance predicate is fed hand-seeded
 //      *violating* inputs — a duplicate name, a non-monotone read sequence,
-//      a dense-prefix gap, an escrow over-issue — and must reject them. An
+//      a dense-prefix gap, an escrow over-issue, a lost op, a metrics fold
+//      that disagrees with its samples — and must reject them. An
 //      oracle that silently accepts garbage would make every green fuzzing
 //      session meaningless, so the oracles are tested before anything they
 //      guard.
@@ -114,6 +115,63 @@ TEST(Oracles, Holders) {
   EXPECT_TRUE(check_holders(1, 0, 1).ok);
   EXPECT_FALSE(check_holders(2, 0, 1).ok);
   EXPECT_FALSE(check_holders(0, 1, 3).ok);
+}
+
+TEST(Oracles, OpCountRejectsALostOp) {
+  // A crash-free 4x2 run that lost one completed op still hands out a
+  // permutation of 0..6, so only the op count can reject it.
+  EXPECT_TRUE(check_dense_prefix({0, 1, 2, 3, 4, 5, 6}).ok);
+  const OracleResult lost = check_op_count(7, 8, 4, 2, /*crashed=*/false);
+  EXPECT_FALSE(lost.ok);
+  EXPECT_EQ(lost.oracle, "op_count");
+  EXPECT_TRUE(check_op_count(8, 8, 4, 2, false).ok);
+
+  // With crashes: at least the finished processes' ops, at most planned (a
+  // proc victim may be killed after its last op).
+  EXPECT_TRUE(check_op_count(7, 8, 3, 2, true).ok);
+  EXPECT_TRUE(check_op_count(8, 8, 3, 2, true).ok);
+  EXPECT_FALSE(check_op_count(5, 8, 3, 2, true).ok);
+  EXPECT_FALSE(check_op_count(9, 8, 3, 2, true).ok);
+}
+
+TEST(Oracles, MetricsContract) {
+  using api::Backend;
+  api::Metrics m;
+  m.ops = 4;
+  m.steps = 8;
+  m.shared_steps = 6;
+  m.max_op_steps = 3;
+  m.max_proc_steps = 4;
+  EXPECT_TRUE(check_metrics(m, 4, Backend::kHardware, false, false).ok);
+  const OracleResult lost =
+      check_metrics(m, 5, Backend::kSimulated, false, false);
+  EXPECT_FALSE(lost.ok);
+  EXPECT_EQ(lost.oracle, "metrics");
+  // The proc fold after a kill counts survivors only: fewer, never more.
+  EXPECT_TRUE(check_metrics(m, 5, Backend::kProc, true, false).ok);
+  EXPECT_FALSE(check_metrics(m, 3, Backend::kProc, true, false).ok);
+
+  api::Metrics bad = m;
+  bad.shared_steps = 9;
+  EXPECT_FALSE(check_metrics(bad, 4, Backend::kSimulated, false, false).ok);
+  bad = m;
+  bad.max_op_steps = 9;
+  EXPECT_FALSE(check_metrics(bad, 4, Backend::kSimulated, false, false).ok);
+  bad = m;
+  bad.max_proc_steps = 9;
+  EXPECT_FALSE(check_metrics(bad, 4, Backend::kSimulated, false, false).ok);
+  // A simulated victim's unfinished op counts in its process total only.
+  EXPECT_TRUE(check_metrics(bad, 4, Backend::kSimulated, true, false).ok);
+  bad = m;
+  bad.steps = 0;
+  bad.shared_steps = bad.max_op_steps = bad.max_proc_steps = 0;
+  EXPECT_FALSE(check_metrics(bad, 4, Backend::kSimulated, false, true).ok);
+
+  // Under one step per op: an over-cheap entry, unless it serves from escrow.
+  api::Metrics cheap = m;
+  cheap.ops = 16;
+  EXPECT_FALSE(check_metrics(cheap, 16, Backend::kSimulated, false, false).ok);
+  EXPECT_TRUE(check_metrics(cheap, 16, Backend::kSimulated, false, true).ok);
 }
 
 // ------------------------------------------------------- corpus round-trip ---
@@ -246,6 +304,20 @@ TEST(RunCase, RejectsInvalidSpecAndHostileGeometry) {
   c.spec = "lease:procs=2";
   c.nproc = 4;  // broker would abort on pid >= procs; must throw instead
   EXPECT_THROW(run_case(c), std::invalid_argument);
+}
+
+TEST(RunCase, RefusesCrashesOnHardwareAndExplorationOffTheSimulator) {
+  FuzzCase c;
+  c.spec = "atomic_fai";
+  c.max_crashes = 1;
+  EXPECT_THROW(run_case(c, nullptr, api::Backend::kHardware),
+               std::invalid_argument);
+  c.max_crashes = 0;
+  c.work = Work::kExplore;
+  EXPECT_THROW(run_case(c, nullptr, api::Backend::kHardware),
+               std::invalid_argument);
+  EXPECT_THROW(run_case(c, nullptr, api::Backend::kProc),
+               std::invalid_argument);
 }
 
 TEST(RunCase, LeaseRenamingShedsClientsInsteadOfOverSubscribingInner) {

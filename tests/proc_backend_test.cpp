@@ -12,29 +12,26 @@
 //     fork,
 //   * supervision — a survivor that exits without publishing its
 //     contribution aborts the run, naming the worker,
-//   * conformance sweep — every registry entry keeps its facet predicate
-//     under backend=proc, including the ones that grow shared state
-//     mid-operation: their NodePool captured the arena at construction, so
-//     a node one worker builds is the node every other worker finds (a
-//     private copy would hand out duplicate values),
-//   * lazy structures under a real kill — the paper's constructions keep
-//     unique values with a worker SIGKILLed mid-run,
+//   * conformance sweep — every registry entry passes the same facet
+//     oracles as on the other backends (fuzz::run_case), with and without
+//     a worker SIGKILLed mid-run, including the entries that grow shared
+//     state mid-operation: their NodePool captured the arena at
+//     construction, so a node one worker builds is the node every other
+//     worker finds (a private copy would hand out duplicate values),
 //   * kill-victim lease reclaim — a worker SIGKILLed at a seed-derived op
 //     count leaves survivors passing the unchanged churn predicates, and
 //     quiescent reclaim drains the victim's escrowed ranges to
 //     holders() == 0 (the ISSUE's acceptance schedule).
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <map>
 #include <memory>
 #include <set>
-#include <string>
-#include <vector>
 
 #include "api/leases.h"
 #include "api/registry.h"
 #include "api/workload.h"
+#include "conformance_sweep.h"
 #include "lease/lease_broker.h"
 #include "obs/event_bus.h"
 #include "obs/sites.h"
@@ -175,104 +172,19 @@ TEST(ProcBackendDeathTest, UnpublishedSurvivorAbortsNamingTheWorker) {
       "worker 1 exited without publishing its contribution");
 }
 
-/// Every entry of `entries`, by name, at its default options.
-template <typename Info>
-std::vector<std::string> entry_names(const std::vector<Info>& entries) {
-  std::vector<std::string> names;
-  for (const Info& e : entries) names.push_back(e.name);
-  return names;
-}
+// The proc leg of the conformance sweep (tests/conformance_sweep.h): every
+// registry entry and extra spec in forked workers, judged by fuzz::run_case
+// with the same oracles as the other backends, crash-free and with workers
+// SIGKILLed mid-run. The lazily built structures grow their nodes in the
+// shared arena mid-operation; a node private to one worker would hand out
+// duplicate values.
+using conformance::Conformance;
 
-TEST(ProcConformance, CountersStayDistinctUnderProc) {
-  auto specs = entry_names(Registry::global().counters());
-  ASSERT_GE(specs.size(), 7u);
-  specs.push_back("lease:quota=4,inner=[bounded_fai:m=256]");
-  for (const std::string& spec : specs) {
-    const Scenario s = proc_scenario(4, 32, 17);
-    const api::Run run = Workload::run_facet_spec(Facet::kCounter, spec, s);
-    EXPECT_EQ(run.metrics.ops, 128u) << spec;
-    EXPECT_EQ(run.ops.size(), 128u) << spec;
-    const auto values = run.values();
-    const std::set<std::uint64_t> distinct(values.begin(), values.end());
-    EXPECT_EQ(distinct.size(), values.size())
-        << spec << ": duplicate counter value under backend=proc";
-  }
-}
+TEST_P(Conformance, JudgedByRunCase) { conformance::judge(GetParam()); }
 
-TEST(ProcConformance, RenamingsStayUniqueUnderProc) {
-  auto specs = entry_names(Registry::global().renamings());
-  ASSERT_GE(specs.size(), 7u);
-  // The RatRace trees behind tas=ratrace grow mid-operation too.
-  specs.push_back("linear_probe:tas=ratrace");
-  specs.push_back("bit_batching:tas=ratrace");
-  specs.push_back("lease:quota=4,procs=8,reclaim=0,inner=[longlived:cap=64]");
-  for (const std::string& spec : specs) {
-    const Scenario s = proc_scenario(4, 8, 23);
-    const api::Run run = Workload::run_facet_spec(Facet::kRenaming, spec, s);
-    EXPECT_EQ(run.ops.size(), 32u) << spec;
-    // Hold-all acquires: every name unique, names start at 1.
-    const auto values = run.values();
-    const std::set<std::uint64_t> distinct(values.begin(), values.end());
-    EXPECT_EQ(distinct.size(), values.size())
-        << spec << ": duplicate name under backend=proc";
-    EXPECT_GE(*distinct.begin(), 1u) << spec;
-  }
-}
-
-TEST(ProcConformance, LazySpecsRunUnderAKill) {
-  // The specs the proc backend once refused, because their rows, tree
-  // nodes and arbiters are built on first touch, nested ones included. A
-  // worker is SIGKILLed mid-run; survivors and the victim's published ops
-  // must still hold unique values, which nodes private to one worker would
-  // break.
-  Scenario s = proc_scenario(4, 8, 7);
-  s.crashes.max_crashes = 1;
-  const struct {
-    Facet facet;
-    const char* spec;
-  } lazy[] = {
-      {Facet::kRenaming, "moir_anderson:n=32"},
-      {Facet::kRenaming, "adaptive_strong"},
-      {Facet::kRenaming, "linear_probe:tas=ratrace"},
-      {Facet::kRenaming, "lease:inner=[moir_anderson]"},
-      {Facet::kCounter, "bounded_fai:m=64"},
-      {Facet::kCounter, "unbounded_fai"},
-  };
-  for (const auto& l : lazy) {
-    const api::Run run = Workload::run_facet_spec(l.facet, l.spec, s);
-    EXPECT_EQ(run.crashed_procs, 1u) << l.spec;
-    EXPECT_EQ(run.finished_procs, 3u) << l.spec;
-    EXPECT_GT(run.ops.size(), 3u * 8u) << l.spec;
-    const auto values = run.values();
-    const std::set<std::uint64_t> distinct(values.begin(), values.end());
-    EXPECT_EQ(distinct.size(), values.size())
-        << l.spec << ": duplicate value under a real kill";
-  }
-  // The readable monotone counter: reads never exceed the increments.
-  const api::Run run = Workload::run_facet_spec(Facet::kReadable, "monotone", s);
-  EXPECT_EQ(run.crashed_procs, 1u);
-  for (const std::uint64_t v : run.values_of("read")) {
-    EXPECT_LE(v, run.values_of("inc").size());
-  }
-}
-
-TEST(ProcConformance, ReadableMixKeepsItsKindsUnderProc) {
-  const auto specs = entry_names(Registry::global().readables());
-  ASSERT_GE(specs.size(), 4u);
-  for (const std::string& spec : specs) {
-    const Scenario s = proc_scenario(4, 30, 29);
-    const api::Run run = Workload::run_facet_spec(Facet::kReadable, spec, s);
-    EXPECT_EQ(run.ops.size(), 120u) << spec;
-    // 2:1 inc/read mix (every third op reads): 20 incs + 10 reads per
-    // process, kinds round-tripped through the shared kind table.
-    EXPECT_EQ(run.values_of("inc").size(), 80u) << spec;
-    EXPECT_EQ(run.values_of("read").size(), 40u) << spec;
-    // Reads observe at most the total increments.
-    for (const std::uint64_t v : run.values_of("read")) {
-      EXPECT_LE(v, 80u) << spec;
-    }
-  }
-}
+INSTANTIATE_TEST_SUITE_P(
+    Proc, Conformance, ::testing::ValuesIn(conformance::legs({Backend::kProc})),
+    conformance::leg_name);
 
 TEST(ProcCrash, VictimDiesBySigkillAndSurvivorsStayExact) {
   Scenario s = proc_scenario(6, 24, 41);
